@@ -21,6 +21,8 @@ both request hierarchies use:
   dataclass bodies.
 * :func:`content_key` — the shared key derivation: schema tag plus
   provenance fingerprints plus the canonicalized request body, hashed.
+* :data:`RETIRED_FIELDS` — wire fields dropped from the request types
+  but still accepted, and ignored, for one schema version.
 
 The codec knows nothing about any specific request type; each type owns
 its field list and normalization rules and delegates the mechanics here.
@@ -32,7 +34,17 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Tuple
+
+
+#: Request wire fields that no longer exist but are still accepted for
+#: one schema version, each with the only values it may carry. A codec
+#: that lists a field here validates and drops it; any other value is
+#: still rejected. Drop an entry at the next schema version bump.
+RETIRED_FIELDS: Dict[str, Tuple[Any, ...]] = {
+    # Chose between two replay loops; the packed trace now has one.
+    "kernel": (None, "scalar", "vectorized", "auto"),
+}
 
 
 def canonical(value: Any) -> Any:
@@ -100,11 +112,13 @@ class VersionedCodec:
 
     One instance per wire type (``RunRequest``, ``FleetRequest``,
     ``FleetResult``, ...): ``label`` names the type in error messages,
-    ``version`` is the writer's current schema version.
+    ``version`` is the writer's current schema version, and ``retired``
+    names the :data:`RETIRED_FIELDS` its readers still tolerate.
     """
 
     label: str
     version: int
+    retired: Tuple[str, ...] = ()
 
     def stamp(self, body: Dict[str, Any]) -> Dict[str, Any]:
         """The versioned wire form: ``schema_version`` plus the body."""
@@ -129,8 +143,21 @@ class VersionedCodec:
         return body
 
     def open_into(self, cls: type, data: Any) -> Dict[str, Any]:
-        """:meth:`open` plus strict unknown-field rejection for ``cls``."""
+        """:meth:`open` plus strict unknown-field rejection for ``cls``.
+
+        Retired fields are checked against their allowed values and
+        dropped before the unknown-field check.
+        """
         body = self.open(data)
+        for name in self.retired:
+            if name in body:
+                value = body.pop(name)
+                allowed = RETIRED_FIELDS[name]
+                if value not in allowed:
+                    raise ValueError(
+                        f"retired {self.label} field {name!r} must be one "
+                        f"of {list(allowed)}, got {value!r}"
+                    )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(body) - known
         if unknown:

@@ -55,7 +55,6 @@ from repro import codec
 from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
-from repro.harness import vector_kernel
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
 from repro.obs.tracing import get_tracer
@@ -105,7 +104,9 @@ SUMMARY_PROGRESS_THRESHOLD = 100
 #: Versioned wire codec for :class:`RunRequest` payloads — the same
 #: machinery :class:`~repro.fleet.request.FleetRequest` uses, so the
 #: two request hierarchies cannot drift (see :mod:`repro.codec`).
-REQUEST_CODEC = codec.VersionedCodec("RunRequest", REQUEST_SCHEMA_VERSION)
+REQUEST_CODEC = codec.VersionedCodec(
+    "RunRequest", REQUEST_SCHEMA_VERSION, retired=("kernel",)
+)
 
 #: Backwards-compatible aliases: the canonicalization/hash primitives
 #: moved to :mod:`repro.codec` in PR 8.
@@ -180,14 +181,6 @@ class RunRequest:
     #: Keyword arguments for the override, as sorted key/value pairs so
     #: the request stays hashable.
     allocator_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: Replay kernel choice (``scalar``/``vectorized``/``auto``). Both
-    #: kernels produce bit-identical results, so this is an execution
-    #: detail: it is excluded from the content key (a cached result
-    #: answers requests under either kernel). ``None`` means
-    #: unspecified — ``$REPRO_KERNEL`` if set, else ``auto`` (vectorized
-    #: when numpy is installed, scalar otherwise), resolved where the
-    #: run executes, which for pool fan-out is the worker process.
-    kernel: Optional[str] = None
     #: First-class stack name (see :mod:`repro.stacks`). ``None`` means
     #: unspecified and derives from the legacy ``memento`` flag, so
     #: ``RunRequest(spec, memento=True)`` and
@@ -222,8 +215,6 @@ class RunRequest:
         # stack-knob guard in SimulatedSystem): a declarative request
         # may describe an unsupported combination, but it fails loudly
         # — naming the stack — the moment it would execute.
-        if self.kernel is not None:
-            vector_kernel.resolve_choice(self.kernel)
 
     def content_key(self, cost_model: CostModel = DEFAULT_COSTS) -> str:
         """Stable content hash identifying this run's result.
@@ -241,9 +232,7 @@ class RunRequest:
         keys) carry the ``stack`` field into the hash.
         """
         entry = stack_registry.get_stack(self.stack)
-        normalized = dataclasses.replace(
-            self, spec=self.spec.resolved(), kernel=None
-        )
+        normalized = dataclasses.replace(self, spec=self.spec.resolved())
         if not entry.hardware:
             normalized = dataclasses.replace(
                 normalized, config=MementoConfig()
@@ -277,7 +266,6 @@ class RunRequest:
             memento_config=self.config,
             mmap_populate=self.mmap_populate,
             cold_start=self.cold_start,
-            replay_kernel=self.kernel,
             **kwargs,
         )
 
@@ -311,11 +299,6 @@ class RunRequest:
             "allocator_kwargs": [
                 list(pair) for pair in self.allocator_kwargs
             ],
-            # Additive since the v1 schema froze: readers that predate it
-            # reject the unknown field loudly, current readers treat a
-            # missing one as unspecified (it never changes results or
-            # content keys).
-            "kernel": self.kernel,
         })
 
     @classmethod
@@ -358,11 +341,6 @@ class RunRequest:
             allocator_kwargs=tuple(
                 (str(name), value)
                 for name, value in data.get("allocator_kwargs") or ()
-            ),
-            kernel=(
-                None
-                if data.get("kernel") is None
-                else str(data["kernel"])
             ),
         )
 

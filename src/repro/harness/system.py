@@ -6,6 +6,13 @@ the routing runtime (treatment) — and replays a workload trace through it,
 collecting cycles by category, DRAM traffic, and memory usage. Both stacks
 run on identical hardware; the only difference is who handles memory
 management.
+
+There are two replay loops. ``_replay_columnar`` is the hot loop over
+the packed trace form, with one body per hardware trait (Memento vs a
+software allocator). ``_replay_events`` walks event objects: it is the
+reference the differential oracle checks the packed loop against, the
+fallback for traces holding non-canonical events, and the path that
+carries per-event invariant checks when an auditor asks for them.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from repro.core.bypass import COUNTER_MAX
 from repro.core.config import MementoConfig
 from repro.core.page_allocator import HardwarePageAllocator
 from repro.core.runtime import MementoRuntime
-from repro.harness import vector_kernel
 from repro.kernel.kernel import Kernel
 from repro.sim.cycles import CostModel
 from repro.sim.machine import Machine
@@ -160,6 +166,10 @@ class RunResult:
 class SimulatedSystem:
     """One process on one core, baseline or Memento."""
 
+    #: Name of the packed replay loop, recorded in benchmark
+    #: environment records. There is only one.
+    replay_kernel = "scalar"
+
     def __init__(
         self,
         spec: WorkloadSpec,
@@ -174,7 +184,6 @@ class SimulatedSystem:
         machine: Optional[Machine] = None,
         kernel: Optional[Kernel] = None,
         page_allocator: Optional[HardwarePageAllocator] = None,
-        replay_kernel: Optional[str] = None,
         memento: Optional[bool] = None,
     ) -> None:
         """``stack`` names a registered memory-management stack (see
@@ -184,12 +193,7 @@ class SimulatedSystem:
 
         ``machine``/``kernel``/``page_allocator`` may be supplied to
         co-locate several systems on shared hardware (the multi-process
-        study of §6.6); by default each system gets a private stack.
-
-        ``replay_kernel`` picks the replay implementation —
-        ``scalar``/``vectorized``/``auto`` (default: ``$REPRO_KERNEL``,
-        else ``auto``). Both kernels are bit-identical; see
-        :mod:`repro.harness.vector_kernel`."""
+        study of §6.6); by default each system gets a private stack."""
         self.spec = spec.resolved()
         if stack is None:
             stack = bool(memento) if memento is not None else False
@@ -212,12 +216,6 @@ class SimulatedSystem:
                 f"{self.stack_name!r} stack (supported knobs: "
                 f"{sorted(self.stack.knobs) or 'none'})"
             )
-        self.replay_kernel_choice = vector_kernel.resolve_choice(
-            replay_kernel
-        )
-        self.replay_kernel = vector_kernel.resolve_kernel(
-            self.replay_kernel_choice
-        )
         # Cycle-attribution profile, bound before any component below is
         # constructed so their cells intern against it; the checkpoint
         # scopes this system's deltas (profiled systems must run
@@ -438,7 +436,7 @@ class SimulatedSystem:
         )
 
     def _make_touch_lines(self):
-        """Build the per-event line-touch kernel as a closure.
+        """Build the per-event line-touch routine as a closure.
 
         Accesses ``lines`` consecutive cache lines of an object: the
         innermost replay loop. Two fast-path transformations, both
@@ -630,12 +628,15 @@ class SimulatedSystem:
             if profile is not None:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
-            packer = getattr(trace, "columnar", None)
             # Event-epoch auditing needs per-event dispatch with check
             # hooks, so the packed form is skipped entirely for it.
-            if audit is not None and audit.steps_events:
+            stepping = (
+                audit if audit is not None and audit.steps_events else None
+            )
+            if stepping is not None:
                 columnar = None
             else:
+                packer = getattr(trace, "columnar", None)
                 columnar = packer() if packer is not None else None
             # The replay churns through dataclass records and OrderedDict
             # nodes fast enough to trip the cyclic collector thousands of
@@ -648,20 +649,10 @@ class SimulatedSystem:
                 gc.disable()
             try:
                 with tracer.span("replay", events=len(trace)):
-                    if audit is not None and audit.steps_events:
-                        allocs, frees = self._replay_audited(trace, audit)
-                    elif columnar is not None:
-                        # Kernel choice changes only the iteration
-                        # structure — results are bit-identical (golden
-                        # fixtures + lockstep suite + oracle cross-check).
-                        if self.replay_kernel == "vectorized":
-                            allocs, frees = vector_kernel.replay(
-                                self, columnar
-                            )
-                        else:
-                            allocs, frees = self._replay_columnar(columnar)
+                    if columnar is not None:
+                        allocs, frees = self._replay_columnar(columnar)
                     else:
-                        allocs, frees = self._replay_events(trace)
+                        allocs, frees = self._replay_events(trace, stepping)
             finally:
                 if gc_was_enabled:
                     gc.enable()
@@ -721,7 +712,8 @@ class SimulatedSystem:
 
     def _replay_columnar(self, columnar) -> "tuple[int, int]":
         """Drive the packed trace form: integer kind tags and operand
-        columns, no per-event objects or attribute loads."""
+        columns, no per-event objects or attribute loads. The loop body
+        is chosen once per replay from the stack's ``hardware`` trait."""
         allocs = frees = 0
         addr_of = self._addr_of
         size_of = self._size_of
@@ -878,13 +870,14 @@ class SimulatedSystem:
                     frees += 1
         return allocs, frees
 
-    def _replay_audited(self, events, audit) -> "tuple[int, int]":
-        """Per-event replay with invariant checks at the audit's epoch.
+    def _replay_events(self, events, audit=None) -> "tuple[int, int]":
+        """Replay event objects one by one.
 
-        The dispatch mirrors ``_replay_events`` handler-for-handler; the
-        only additions are the event counter and the epoch hook. Runs
-        only when an auditor with a per-event/interval epoch is
-        installed, so the unaudited paths carry none of this.
+        The reference path: the differential oracle checks the packed
+        loop against it, traces holding non-canonical events (which
+        have no packed form) replay here, and an auditor that steps per
+        event gets its invariant checks at ``audit.should_check(index)``.
+        Events of any other type are skipped.
         """
         allocs = frees = 0
         addr_of = self._addr_of
@@ -892,9 +885,10 @@ class SimulatedSystem:
         touch_lines = self._touch_lines
         core = self.core
         dram = self.machine.dram
-        ctx = audit_invariants.AuditContext.from_system(self)
-        should_check = audit.should_check
-        check = audit.check
+        if audit is not None:
+            ctx = audit_invariants.AuditContext.from_system(self)
+            should_check = audit.should_check
+            check = audit.check
         for index, event in enumerate(events):
             kind = type(event)
             if kind is Touch:
@@ -913,50 +907,8 @@ class SimulatedSystem:
                 self._free(addr_of.pop(event.obj))
                 del size_of[event.obj]
                 frees += 1
-            if should_check(index):
+            if audit is not None and should_check(index):
                 check(ctx, index)
-        return allocs, frees
-
-    def _replay_events(self, events) -> "tuple[int, int]":
-        """Object-event fallback (traces carrying non-canonical events):
-        a type-keyed dispatch table instead of an isinstance chain."""
-        allocs = frees = 0
-        addr_of = self._addr_of
-        size_of = self._size_of
-
-        def on_compute(event) -> None:
-            self.core.charge(event.cycles, "app")
-            if event.dram_bytes:
-                self.machine.dram.record_bulk_bytes(event.dram_bytes)
-
-        def on_alloc(event) -> None:
-            nonlocal allocs
-            addr_of[event.obj] = self._malloc(event.size)
-            size_of[event.obj] = event.size
-            allocs += 1
-
-        def on_touch(event) -> None:
-            self._touch_lines(
-                event.obj, event.lines, event.line_offset, event.write
-            )
-
-        def on_free(event) -> None:
-            nonlocal frees
-            self._free(addr_of.pop(event.obj))
-            del size_of[event.obj]
-            frees += 1
-
-        dispatch = {
-            Compute: on_compute,
-            Alloc: on_alloc,
-            Touch: on_touch,
-            Free: on_free,
-        }
-        get = dispatch.get
-        for event in events:
-            handler = get(type(event))
-            if handler is not None:
-                handler(event)
         return allocs, frees
 
     def _run_cold_start(self, trace: Trace) -> None:

@@ -17,15 +17,6 @@ For replay, :meth:`Trace.columnar` packs the event list into
 :class:`ColumnarTrace` — five parallel ``array`` columns (a kind tag plus
 four integer operand slots) — so the harness's hot loop iterates machine
 integers instead of chasing per-event objects and ``isinstance`` chains.
-
-On top of the packed form, :meth:`ColumnarTrace.segments` builds a
-:class:`SegmentIndex`: maximal runs of same-kind events (single-line
-touches split from multi-line ones) with the per-run operand rows
-pre-resolved and every compute run pre-reduced to its exact cycle/byte
-sums. The batch replay kernel (``repro.harness.vector_kernel``) iterates
-runs instead of events, so kind dispatch happens once per run and the
-numpy-accelerated precomputation here is amortized across replays of the
-same trace (the index is memoized alongside the columnar form).
 """
 
 from __future__ import annotations
@@ -71,182 +62,6 @@ KIND_FREE = 1
 KIND_TOUCH = 2
 KIND_COMPUTE = 3
 
-#: Segment-run opcodes (:class:`SegmentIndex`). The first four alias the
-#: kind tags; single-line touches get their own opcode so the replay
-#: kernel's hottest case needs no per-event ``lines == 1`` test.
-OP_ALLOC = KIND_ALLOC
-OP_FREE = KIND_FREE
-OP_TOUCH_MULTI = KIND_TOUCH
-OP_COMPUTE = KIND_COMPUTE
-OP_TOUCH_SINGLE = 4
-
-
-class SegmentIndex:
-    """Run-segmented view of a :class:`ColumnarTrace`.
-
-    Two transformations, both exact refactorings of the per-event replay:
-
-    * **Compute extraction.** Compute events' only effects are additions
-      into interned counters (``cycles.app``, DRAM byte/line totals) that
-      nothing reads mid-replay, and the sums commute exactly: cycle/byte
-      totals are integers, and the derived line count ``bytes / 64`` is a
-      dyadic rational far below 2**53, so every partial sum is exactly
-      representable and any accumulation order produces the same float.
-      All compute events are therefore pre-reduced here into
-      ``compute_cycles``/``compute_bytes`` and leave the dispatch stream
-      entirely — which also merges the alloc/touch runs they used to
-      interrupt.
-
-    * **Operand pre-decode.** The surviving stream is stored as flat,
-      fully decoded operand columns the kernel zips over directly:
-      single-line touches are split into their own opcode at pack time
-      (``OP_TOUCH_SINGLE``) so the hot path needs no per-event
-      ``lines == 1`` test, their byte offsets are premultiplied, and
-      touch write flags are rebooled (the packed column is int64; cache
-      dirty bits must stay booleans — audit rule cache-writeback-ledger).
-
-      ==============  ====================================================
-      column          meaning per opcode
-      ==============  ====================================================
-      ``ops``         OP_* opcode (computes already stripped)
-      ``f0``          object id (alloc/free/touch)
-      ``f1``          alloc size; touch line count; unused for frees
-      ``f2``          OP_TOUCH_SINGLE: byte offset (premultiplied);
-                      OP_TOUCH_MULTI: line offset; otherwise unused
-      ``writes``      touch write flag as ``bool``
-      ==============  ====================================================
-
-    ``runs()`` derives the maximal same-opcode run view ``[(op, length),
-    ...]`` for diagnostics and bench telemetry; measured run lengths on
-    the generated workloads average ~1.2 events (the generator interleaves
-    alloc/touch/free tightly), which is why the kernel executes the flat
-    stream per event rather than dispatching per run — see DESIGN.md §15
-    for the arithmetic.
-
-    Built with numpy when it is installed (vectorized opcode/change-point
-    math and bulk column conversion over zero-copy views of the packed
-    columns) and with plain loops otherwise; both constructions produce
-    identical indexes (tested).
-    """
-
-    __slots__ = (
-        "ops",
-        "f0",
-        "f1",
-        "f2",
-        "writes",
-        "compute_cycles",
-        "compute_bytes",
-        "events",
-    )
-
-    def __init__(
-        self,
-        ops: List[int],
-        f0: List[int],
-        f1: List[int],
-        f2: List[int],
-        writes: List[bool],
-        compute_cycles: int,
-        compute_bytes: int,
-        events: int,
-    ) -> None:
-        self.ops = ops
-        self.f0 = f0
-        self.f1 = f1
-        self.f2 = f2
-        self.writes = writes
-        self.compute_cycles = compute_cycles
-        self.compute_bytes = compute_bytes
-        self.events = events
-
-    @classmethod
-    def build(cls, columnar: "ColumnarTrace") -> "SegmentIndex":
-        total = len(columnar.kinds)
-        if total == 0:
-            return cls([], [], [], [], [], 0, 0, 0)
-        if _np is not None:
-            return cls(*_segment_numpy(columnar), total)
-        return cls(*_segment_python(columnar), total)
-
-    def runs(self) -> List[Tuple[int, int]]:
-        """Maximal same-opcode runs as ``(op, length)``, in order."""
-        out: List[Tuple[int, int]] = []
-        for op in self.ops:
-            if out and out[-1][0] == op:
-                out[-1] = (op, out[-1][1] + 1)
-            else:
-                out.append((op, 1))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-try:  # Optional extra (`pip install -e .[fast]`); see vector_kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-
-def _segment_numpy(columnar: "ColumnarTrace"):
-    """Vectorized build: compute reduction, opcode classification, and
-    bulk operand decode in numpy over zero-copy views of the packed
-    columns; returns the :class:`SegmentIndex` constructor columns."""
-    kinds = _np.frombuffer(columnar.kinds, dtype=_np.uint8)
-    f0 = _np.frombuffer(columnar.f0, dtype=_np.int64)
-    f1 = _np.frombuffer(columnar.f1, dtype=_np.int64)
-    f2 = _np.frombuffer(columnar.f2, dtype=_np.int64)
-    f3 = _np.frombuffer(columnar.f3, dtype=_np.int64)
-    compute = kinds == KIND_COMPUTE
-    compute_cycles = int(f0[compute].sum())
-    compute_bytes = int(f1[compute].sum())
-    keep = ~compute
-    ops = kinds[keep].astype(_np.int64)
-    k0, k1, k2, k3 = f0[keep], f1[keep], f2[keep], f3[keep]
-    single = (ops == KIND_TOUCH) & (k1 == 1)
-    ops[single] = OP_TOUCH_SINGLE
-    # Premultiply single-line byte offsets in place; multi-line touches
-    # keep their raw line offset (touch_lines wants lines, not bytes).
-    k2 = _np.where(single, k2 * 64, k2)
-    return (
-        ops.tolist(),
-        k0.tolist(),
-        k1.tolist(),
-        k2.tolist(),
-        (k3 != 0).tolist(),
-        compute_cycles,
-        compute_bytes,
-    )
-
-
-def _segment_python(columnar: "ColumnarTrace"):
-    """Loop fallback for :func:`_segment_numpy` (identical output)."""
-    compute_cycles = 0
-    compute_bytes = 0
-    ops: List[int] = []
-    f0: List[int] = []
-    f1: List[int] = []
-    f2: List[int] = []
-    writes: List[bool] = []
-    for kind, a, b, c, d in zip(
-        columnar.kinds, columnar.f0, columnar.f1, columnar.f2, columnar.f3
-    ):
-        if kind == KIND_COMPUTE:
-            compute_cycles += a
-            compute_bytes += b
-            continue
-        if kind == KIND_TOUCH and b == 1:
-            ops.append(OP_TOUCH_SINGLE)
-            f2.append(c * 64)
-        else:
-            ops.append(kind)
-            f2.append(c)
-        f0.append(a)
-        f1.append(b)
-        writes.append(d != 0)
-    return ops, f0, f1, f2, writes, compute_cycles, compute_bytes
-
 
 class ColumnarTrace:
     """Packed struct-of-arrays form of an event sequence.
@@ -264,7 +79,7 @@ class ColumnarTrace:
     =========  =====  ========  =============  =========
     """
 
-    __slots__ = ("kinds", "f0", "f1", "f2", "f3", "_segments")
+    __slots__ = ("kinds", "f0", "f1", "f2", "f3")
 
     def __init__(
         self,
@@ -279,7 +94,6 @@ class ColumnarTrace:
         self.f1 = f1
         self.f2 = f2
         self.f3 = f3
-        self._segments: Optional[SegmentIndex] = None
 
     @classmethod
     def pack(cls, events: List[Event]) -> Optional["ColumnarTrace"]:
@@ -312,22 +126,6 @@ class ColumnarTrace:
             else:
                 return None
         return cls(kinds, f0, f1, f2, f3)
-
-    def segments(self) -> "SegmentIndex":
-        """Memoized run segmentation (see :class:`SegmentIndex`).
-
-        Columns are immutable once packed, so the index is built at most
-        once per packed trace — replays (and the benchmark protocol,
-        which packs outside every timed region) amortize it away.
-        """
-        index = self._segments
-        if index is None:
-            with get_tracer().span(
-                "trace.segment", events=len(self.kinds)
-            ):
-                index = SegmentIndex.build(self)
-            self._segments = index
-        return index
 
     def to_events(self) -> List[Event]:
         """Inverse of :meth:`pack` (round-trip tested)."""

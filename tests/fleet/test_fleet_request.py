@@ -46,6 +46,25 @@ class TestRoundTrip:
         del legacy["schema_version"]
         assert FleetRequest.from_dict(legacy) == request
 
+    def test_retired_kernel_field_is_ignored(self):
+        # Pinned legacy payload: writers before the replay-loop merge
+        # carried the replay kernel choice.
+        legacy = {
+            "schema_version": 1,
+            "workloads": ["html"],
+            "seed": 3,
+            "kernel": "vectorized",
+        }
+        request = FleetRequest(workloads=("html",), seed=3)
+        assert FleetRequest.from_dict(legacy) == request
+        assert "kernel" not in request.to_dict()
+
+    def test_unknown_retired_kernel_value_rejected(self):
+        payload = FleetRequest().to_dict()
+        payload["kernel"] = "gpu"
+        with pytest.raises(ValueError, match="retired FleetRequest field"):
+            FleetRequest.from_dict(payload)
+
     def test_newer_schema_rejected(self):
         payload = FleetRequest().to_dict()
         payload["schema_version"] = FLEET_SCHEMA_VERSION + 1
@@ -63,11 +82,6 @@ class TestContentKey:
     def test_resolved_request_hashes_identically(self):
         request = FleetRequest(invocations=1000, seed=5)
         assert request.resolved().content_key() == request.content_key()
-
-    def test_kernel_choice_excluded_from_key(self):
-        base = FleetRequest(workloads=("html",), seed=5)
-        scalar = dataclasses.replace(base, kernel="scalar")
-        assert scalar.content_key() == base.content_key()
 
     def test_platform_knobs_change_the_key(self):
         base = FleetRequest(workloads=("html",), seed=5)

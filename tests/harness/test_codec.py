@@ -106,7 +106,6 @@ class TestSharedDerivation:
         normalized = dc.replace(
             request,
             spec=request.spec.resolved(),
-            kernel=None,
             config=MementoConfig(),
         )
         # The hashed body is the pre-stack-registry field list: the
@@ -123,7 +122,6 @@ class TestSharedDerivation:
             "mmap_populate",
             "allocator",
             "allocator_kwargs",
-            "kernel",
         ):
             body[name] = codec.canonical(getattr(normalized, name))
         by_hand = codec.content_key(

@@ -1,27 +1,37 @@
 """Instrumentation rebinding and replay-path parity regressions.
 
 The replay hot paths are closure factories that bind observability and
-audit hooks at construction time. Two properties must hold:
+audit hooks at construction time. A system replays a trace through one
+of two loops: the packed loop over the columnar form, or the event loop
+(per-event audits, non-canonical traces). These properties must hold:
 
 * after installing and uninstalling every hook, a fresh system replays
   bit-identically to one that was never instrumented (no residue);
-* the packed columnar path and the event path leave identical simulator
-  state — including cache metadata invariants like boolean dirty bits
-  (audit rule: cache-writeback-ledger).
+* the packed loop and the event loop produce bit-identical results on
+  every workload, and leave identical simulator state — including cache
+  metadata invariants like boolean dirty bits (audit rule:
+  cache-writeback-ledger).
 """
 
 import dataclasses
+import json
+import random
 
 import pytest
 
 from repro.audit import AuditContext, Auditor, install_audit
 from repro.audit.invariants import CacheWritebackLedger
+from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
 from repro.obs.events import EventRing, install_ring
 from repro.obs.profile import CycleProfile, install_profile
 from repro.obs.tracing import Tracer, set_tracer
-from repro.workloads.registry import get_workload
+from repro.stacks import stack_names
+from repro.workloads.registry import all_workloads, get_workload
 from repro.workloads.synth import generate_trace
+from repro.workloads.trace import Trace
+
+ALL_SPECS = [spec.resolved() for spec in all_workloads()]
 
 
 def small_spec(num_allocs=250):
@@ -30,31 +40,109 @@ def small_spec(num_allocs=250):
     )
 
 
-def run_once(spec, memento):
-    return SimulatedSystem(spec, memento).run().to_dict()
+def run_once(spec, stack):
+    return SimulatedSystem(spec, stack).run().to_dict()
 
 
-@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
-def test_rebinding_after_uninstall_is_bit_identical(memento):
+class Marker:
+    """A non-canonical event: a trace holding one has no packed form."""
+
+
+def event_loop_trace(trace):
+    """``trace`` plus a leading :class:`Marker`, so ``run()`` replays it
+    through the event loop (which skips the marker)."""
+    return Trace(
+        trace.name, trace.language, trace.category,
+        [Marker(), *trace.events],
+    )
+
+
+def run_both_loops(spec, stack, trace, **kwargs):
+    """``run()`` results of the packed loop and the event loop."""
+    packed = SimulatedSystem(spec, stack, **kwargs).run(trace)
+    stepped = SimulatedSystem(spec, stack, **kwargs).run(
+        event_loop_trace(trace)
+    )
+    return (
+        json.dumps(packed.to_dict(), sort_keys=True),
+        json.dumps(stepped.to_dict(), sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize("stack", stack_names())
+def test_rebinding_after_uninstall_is_bit_identical(stack):
     spec = small_spec()
-    before = run_once(spec, memento)
+    before = run_once(spec, stack)
     previous_tracer = set_tracer(Tracer())
     previous_ring = install_ring(EventRing())
     previous_profile = install_profile(CycleProfile())
+    # An event-epoch auditor sends the instrumented run through the
+    # event loop, so this also pins that loop to the packed one.
     previous_audit = install_audit(Auditor(epoch="event"))
     try:
-        instrumented = run_once(spec, memento)
+        instrumented = run_once(spec, stack)
     finally:
         set_tracer(previous_tracer)
         install_ring(previous_ring)
         install_profile(previous_profile)
         install_audit(previous_audit)
-    after = run_once(spec, memento)
+    after = run_once(spec, stack)
     assert after == before
     # The instrumented run simulates the same numbers too — hooks
     # observe, never perturb.
-    instrumented.pop("audit", None)
+    assert instrumented.pop("audit")["violations"] == 0
     assert instrumented == before
+
+
+@pytest.mark.parametrize("stack", ["memento", "baseline"])
+@pytest.mark.parametrize(
+    "spec", ALL_SPECS, ids=[spec.name for spec in ALL_SPECS]
+)
+def test_event_and_packed_loops_bit_identical_every_workload(spec, stack):
+    sized = dataclasses.replace(spec, num_allocs=400)
+    packed, stepped = run_both_loops(sized, stack, generate_trace(sized))
+    assert packed == stepped
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_event_and_packed_loops_bit_identical_randomized_short_traces(seed):
+    rng = random.Random(seed)
+    spec = get_workload(rng.choice(["html", "Redis", "deploy"])).resolved()
+    spec = dataclasses.replace(
+        spec,
+        num_allocs=rng.randrange(20, 200),
+        seed=rng.randrange(1 << 30),
+    )
+    trace = generate_trace(spec)
+    for stack in stack_names():
+        packed, stepped = run_both_loops(spec, stack, trace)
+        assert packed == stepped, stack
+
+
+def test_event_and_packed_loops_identical_profile_attribution():
+    spec = small_spec(400)
+    trace = generate_trace(spec)
+    payloads = []
+    for replayed in (trace, event_loop_trace(trace)):
+        profile = CycleProfile()
+        previous = install_profile(profile)
+        try:
+            SimulatedSystem(spec, "memento").run(replayed)
+        finally:
+            install_profile(previous)
+        payloads.append(profile.to_dict())
+    assert payloads[0] == payloads[1]
+
+
+def test_event_and_packed_loops_identical_nondefault_config():
+    spec = dataclasses.replace(
+        get_workload("Redis").resolved(), num_allocs=300
+    )
+    packed, stepped = run_both_loops(
+        spec, "memento", generate_trace(spec),
+        memento_config=MementoConfig(bypass_enabled=False),
+    )
+    assert packed == stepped
 
 
 @pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])

@@ -37,7 +37,6 @@ LEGACY_FIELDS = (
     "mmap_populate",
     "allocator",
     "allocator_kwargs",
-    "kernel",
 )
 
 
@@ -50,7 +49,6 @@ def legacy_key(request: RunRequest) -> str:
     normalized = dc.replace(
         request,
         spec=request.spec.resolved(),
-        kernel=None,
         config=MementoConfig(),
     )
     body = {"__type__": "RunRequest"}

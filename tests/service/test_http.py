@@ -90,6 +90,13 @@ class TestEndpoints:
             client.submit({"workload": "nope", "memento": True})
         assert err.value.status == 400
 
+    def test_unknown_retired_kernel_value_400(self, server, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit({"workload": "html", "memento": True,
+                           "kernel": "gpu"})
+        assert err.value.status == 400
+        assert "kernel" in str(err.value)
+
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/api/v1/runs",

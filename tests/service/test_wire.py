@@ -63,6 +63,27 @@ class TestRoundTrip:
         del payload["schema_version"]
         assert run_request_from_wire(payload) == interesting_request()
 
+    def test_retired_kernel_field_is_ignored(self):
+        # Pinned legacy submission: writers before the replay-loop
+        # merge sent the replay kernel choice along with the run.
+        legacy = {
+            "schema_version": 1,
+            "workload": "html",
+            "memento": True,
+            "kernel": "vectorized",
+        }
+        current = {k: v for k, v in legacy.items() if k != "kernel"}
+        assert run_request_from_wire(legacy) == run_request_from_wire(
+            current
+        )
+        for value in (None, "scalar", "auto"):
+            payload = run_request_to_wire(interesting_request())
+            payload["kernel"] = value
+            assert run_request_from_wire(payload) == interesting_request()
+
+    def test_retired_kernel_field_is_not_written(self):
+        assert "kernel" not in run_request_to_wire(interesting_request())
+
 
 class TestWorkloadByName:
     def test_workload_name_resolves_registry_spec(self):
@@ -121,6 +142,12 @@ class TestRejections:
         with pytest.raises(WireError, match="unknown"):
             run_request_from_wire({
                 "workload": "html", "memento": True, "surprise": 1,
+            })
+
+    def test_unknown_retired_kernel_value_rejected(self):
+        with pytest.raises(WireError, match="retired RunRequest field"):
+            run_request_from_wire({
+                "workload": "html", "memento": True, "kernel": "gpu",
             })
 
     def test_missing_memento_rejected(self):
