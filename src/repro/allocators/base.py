@@ -12,7 +12,6 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.obs import profile as obs_profile
 from repro.sim.params import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -132,7 +131,7 @@ class SoftwareAllocator(abc.ABC):
         # these hooks on purpose; their cycles surface as the
         # user_alloc/user_free category residual, which the profiler folds
         # into swalloc.alloc_fast/swalloc.free_fast at reconciliation.
-        profile = obs_profile.PROFILE
+        profile = kernel.machine.instruments.profile
         if profile is None:
             self._p_alloc_fast = None
             self._p_alloc_slow = None

@@ -7,14 +7,28 @@ configuration, workload lookup, and observability. Internal module paths
 between PRs; the names exported here — and their signatures — stay
 stable. Import from here in notebooks, downstream scripts, and docs::
 
-    from repro.api import run_workload, get_workload, Tracer, set_tracer
+    from repro.api import (
+        Instruments, Tracer, get_workload, render_span_tree, run_workload,
+    )
 
     tracer = Tracer()
-    set_tracer(tracer)
-    result = run_workload(get_workload("html"))
+    result = run_workload(
+        get_workload("html"), instruments=Instruments(tracer=tracer)
+    )
     print(result.speedup)
     print(render_span_tree(tracer.to_dict()))
-    set_tracer(None)
+
+Observers travel in one explicit :class:`Instruments` value (tracer,
+event ring, cycle profile, auditor, fleet recorder) passed to
+``SimulatedSystem``, ``ExperimentEngine.run_many``, ``run_workload``,
+``run_all`` and ``simulate_fleet``; ``ServiceClient`` takes a
+``tracer``. A run with a profile or an auditor executes live and
+serially, outside the result cache.
+
+Deliberate API change: ``Instruments`` replaced the process-wide hook
+slots, so ``{get,set,set_thread}_tracer`` and
+``{install,get}_{ring,profile,fleet_recorder}`` are no longer exported
+here (nor ``{install,get}_audit`` from ``repro.audit``).
 
 Everything in ``__all__`` is covered by the round-trip conventions
 documented in DESIGN.md: result/config objects expose
@@ -47,8 +61,6 @@ from repro.fleet import (
     FleetRecorder,
     FleetRequest,
     FleetResult,
-    get_fleet_recorder,
-    install_fleet_recorder,
     render_fleet_report,
     simulate_fleet,
 )
@@ -69,26 +81,21 @@ from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import (
     CycleProfile,
     EventRing,
+    Instruments,
     Log2Histogram,
+    NO_INSTRUMENTS,
     NullTracer,
     RunLedger,
     Tracer,
     check_trend,
     default_ledger_path,
     export_timeline,
-    get_profile,
-    get_ring,
-    get_tracer,
-    install_profile,
-    install_ring,
     render_profile,
     render_span_tree,
     render_top_consumers,
     check_fleet_trend,
     render_fleet_trend,
     render_trend,
-    set_thread_tracer,
-    set_tracer,
     trace_events,
     trend_by_key,
     validate_trace_events,
@@ -124,8 +131,6 @@ __all__ = [
     "FleetRecorder",
     "FleetRequest",
     "FleetResult",
-    "get_fleet_recorder",
-    "install_fleet_recorder",
     "render_fleet_report",
     "simulate_fleet",
     # configuration
@@ -139,7 +144,9 @@ __all__ = [
     # observability
     "CycleProfile",
     "EventRing",
+    "Instruments",
     "Log2Histogram",
+    "NO_INSTRUMENTS",
     "NullTracer",
     "RunLedger",
     "Tracer",
@@ -147,18 +154,11 @@ __all__ = [
     "check_trend",
     "default_ledger_path",
     "export_timeline",
-    "get_profile",
-    "get_ring",
-    "get_tracer",
-    "install_profile",
-    "install_ring",
     "render_profile",
     "render_span_tree",
     "render_fleet_trend",
     "render_top_consumers",
     "render_trend",
-    "set_thread_tracer",
-    "set_tracer",
     "trace_events",
     "trend_by_key",
     "validate_trace_events",

@@ -9,19 +9,16 @@ minimized reproducing prefix. See DESIGN.md §13.
 
 The oracle half is loaded lazily: ``oracle`` imports the harness (it
 builds whole systems), and the harness imports ``invariants`` for its
-audit hook — an eager import here would close that cycle.
+audit context — an eager import here would close that cycle.
 """
 
 from repro.audit.invariants import (
-    AUDIT,
     AuditContext,
     Auditor,
     DEFAULT_RULES,
     EPOCHS,
     Invariant,
     Violation,
-    get_audit,
-    install_audit,
 )
 
 _ORACLE_EXPORTS = (
@@ -35,15 +32,12 @@ _ORACLE_EXPORTS = (
 )
 
 __all__ = [
-    "AUDIT",
     "AuditContext",
     "Auditor",
     "DEFAULT_RULES",
     "EPOCHS",
     "Invariant",
     "Violation",
-    "get_audit",
-    "install_audit",
     *_ORACLE_EXPORTS,
 ]
 

@@ -10,11 +10,10 @@ on these relationships (§3.1–§3.3); PRs 2–4 rewrote the hot paths into
 closure factories, so the checker is what keeps "fast" from silently
 diverging from "the model".
 
-Gating mirrors the EventRing/Profile pattern exactly: a module-level
-``AUDIT`` slot installed via :func:`install_audit`, captured by
-``SimulatedSystem`` at construction. With no auditor installed the replay
-paths are byte-identical to the unaudited build — the only cost is one
-``None`` test per run.
+Gating mirrors the EventRing/Profile pattern exactly: an auditor rides
+in ``Instruments(audit=...)`` and ``SimulatedSystem`` captures it at
+construction. Without one the replay paths are byte-identical to the
+unaudited build — the only cost is one ``None`` test per run.
 """
 
 from __future__ import annotations
@@ -577,26 +576,3 @@ class Auditor:
             "rules": [rule.name for rule in self.rules],
             "findings": [v.to_dict() for v in self.violations],
         }
-
-
-#: The installed auditor. None (the default) keeps every replay path
-#: byte-identical to an audit-free build.
-AUDIT: Optional[Auditor] = None
-
-
-def get_audit() -> Optional[Auditor]:
-    """The currently installed auditor, if any."""
-    return AUDIT
-
-
-def install_audit(auditor: Optional[Auditor]) -> Optional[Auditor]:
-    """Install ``auditor`` as the process-wide audit hook.
-
-    Returns the previously installed auditor so callers can restore it
-    (the ``install_ring``/``install_profile`` contract). Systems capture
-    the hook at construction, so install before building the stack.
-    """
-    global AUDIT
-    previous = AUDIT
-    AUDIT = auditor
-    return previous

@@ -59,7 +59,7 @@ from repro.analysis.characterize import (
 from repro.analysis.energy import EnergyModel
 from repro.analysis.pricing import PricingModel
 from repro.analysis.report import render_grouped, render_table
-from repro.audit import Auditor, install_audit
+from repro.audit import Auditor
 from repro.backends import backend_names, create_backend
 from repro.core.errors import MementoError
 from repro.fleet import (
@@ -91,6 +91,8 @@ from repro.harness import sweeps
 from repro.obs import (
     CycleProfile,
     EventRing,
+    Instruments,
+    NULL_TRACER,
     RunLedger,
     Tracer,
     check_bench,
@@ -102,8 +104,6 @@ from repro.obs import (
     event_record,
     export_timeline,
     histogram_lines,
-    install_profile,
-    install_ring,
     profile_record,
     read_jsonl,
     render_histograms,
@@ -115,7 +115,6 @@ from repro.obs import (
     render_fleet_trend,
     render_trend,
     run_record,
-    set_tracer,
     span_record,
     split_fleet_entries,
     write_jsonl,
@@ -703,39 +702,27 @@ def _run_stacks(args: argparse.Namespace, names: List[str]) -> int:
         )
     stacks = resolve_stack_list(args.stack)
     args.jobs = resolve_jobs(args.jobs)
-    auditor = previous_audit = None
-    if args.diff:
-        args.audit = True
-    if args.audit:
-        if args.jobs > 1:
-            print(
-                "repro: --audit runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
+    auditor = None
+    if args.audit or args.diff:
         auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-        previous_audit = install_audit(auditor)
-    try:
-        engine = _make_engine(args)
-        specs = (
-            all_workloads()
-            if args.run_all
-            else [get_workload(name) for name in names]
+    engine = _make_engine(args)
+    specs = (
+        all_workloads()
+        if args.run_all
+        else [get_workload(name) for name in names]
+    )
+    requests = [
+        RunRequest(
+            spec,
+            stack=stack,
+            cold_start=args.cold_start,
         )
-        requests = [
-            RunRequest(
-                spec,
-                stack=stack,
-                cold_start=args.cold_start,
-            )
-            for spec in specs
-            for stack in stacks
-        ]
-        results = engine.run_many(requests)
-    finally:
-        if args.audit:
-            install_audit(previous_audit)
+        for spec in specs
+        for stack in stacks
+    ]
+    results = engine.run_many(
+        requests, instruments=Instruments(audit=auditor)
+    )
     rows = [
         [
             request.spec.name,
@@ -786,59 +773,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _run_stacks(args, names)
     args.jobs = resolve_jobs(args.jobs)
     tracer = ring = profile = auditor = None
-    previous_tracer = previous_ring = previous_profile = None
-    previous_audit = None
     if args.trace:
         tracer = Tracer()
         ring = EventRing(timestamps=True)
-        previous_tracer = set_tracer(tracer)
-        previous_ring = install_ring(ring)
     if args.profile:
-        # Attribution happens in-process on live runs only: worker
-        # processes and cache hits produce no profile data, so profiled
-        # runs are forced serial and bypass the result cache.
-        if args.jobs > 1:
-            print(
-                "repro: --profile runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
         profile = CycleProfile()
-        previous_profile = install_profile(profile)
-    if args.diff:
-        args.audit = True
-    if args.audit:
-        # Same live-run constraint as --profile: worker processes and
-        # cache hits carry no auditor, so audited runs are serial and
-        # cache-bypassing.
-        if args.jobs > 1:
-            print(
-                "repro: --audit runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
+    if args.audit or args.diff:
         auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-        previous_audit = install_audit(auditor)
-    try:
-        engine = _make_engine(args)
-        specs = (
-            None if args.run_all else [get_workload(name) for name in names]
-        )
-        results = run_all(
-            specs,
-            cold_start=args.cold_start,
-            engine=engine,
-        )
-    finally:
-        if args.trace:
-            set_tracer(previous_tracer)
-            install_ring(previous_ring)
-        if args.profile:
-            install_profile(previous_profile)
-        if args.audit:
-            install_audit(previous_audit)
+    # A profile or auditor makes the engine run the batch live and
+    # serially (see ExperimentEngine.run_many).
+    instruments = Instruments(
+        tracer=tracer or NULL_TRACER,
+        ring=ring,
+        profile=profile,
+        audit=auditor,
+    )
+    engine = _make_engine(args)
+    specs = None if args.run_all else [get_workload(name) for name in names]
+    results = run_all(
+        specs,
+        cold_start=args.cold_start,
+        engine=engine,
+        instruments=instruments,
+    )
     pricing = PricingModel()
     rows = []
     for result in results:
@@ -968,12 +925,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
             resolved = dataclasses.replace(resolved, num_allocs=num_allocs)
         for stack in stacks:
             auditor = Auditor(epoch=args.epoch, every=args.every)
-            previous = install_audit(auditor)
-            try:
-                system = SimulatedSystem(resolved, stack)
-                system.run()
-            finally:
-                install_audit(previous)
+            SimulatedSystem(
+                resolved, stack, instruments=Instruments(audit=auditor)
+            ).run()
             leg = {
                 "workload": spec.name,
                 "stack": stack,
@@ -1034,26 +988,17 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     engine = _make_engine(args)
     recorder = None
     ring = None
-    previous_recorder = previous_ring = None
     if args.telemetry:
-        from repro.fleet import FleetRecorder, install_fleet_recorder
+        from repro.fleet import FleetRecorder
 
         recorder = FleetRecorder()
         ring = EventRing(capacity=8192, sample_every=1)
-        previous_recorder = install_fleet_recorder(recorder)
-        previous_ring = install_ring(ring)
-    try:
-        result = simulate_fleet(
-            request,
-            engine=engine,
-            log=lambda message: print(message, file=sys.stderr),
-        )
-    finally:
-        if args.telemetry:
-            from repro.fleet import install_fleet_recorder
-
-            install_fleet_recorder(previous_recorder)
-            install_ring(previous_ring)
+    result = simulate_fleet(
+        request,
+        engine=engine,
+        log=lambda message: print(message, file=sys.stderr),
+        instruments=Instruments(ring=ring, fleet=recorder),
+    )
     print(render_fleet_report(result))
     print(f"fleet key: {result.fleet_key}", file=sys.stderr)
     if args.out:

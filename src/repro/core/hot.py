@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from repro.core.arena import ArenaHeader
 from repro.core.config import MementoConfig
-from repro.obs import events as obs_events
 from repro.sim.stats import ScopedStats
 
 
@@ -49,7 +48,9 @@ class HardwareObjectTable:
         "_ring",
     )
 
-    def __init__(self, config: MementoConfig, stats: ScopedStats) -> None:
+    def __init__(
+        self, config: MementoConfig, stats: ScopedStats, ring=None
+    ) -> None:
         self.config = config
         self.stats = stats
         self.entries: List[HotEntry] = [
@@ -64,7 +65,7 @@ class HardwareObjectTable:
         self._free_misses = stats.counter("free_misses")
         #: Sampled hardware-event ring, bound at construction (None keeps
         #: the record paths to a single attribute test when sampling is off).
-        self._ring = obs_events.RING
+        self._ring = ring
 
     def lookup(self, size_class: int) -> HotEntry:
         """Direct-mapped index by size class (no search)."""

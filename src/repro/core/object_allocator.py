@@ -18,8 +18,6 @@ from repro.core.errors import MementoDoubleFreeError
 from repro.core.hot import HardwareObjectTable
 from repro.core.lists import ArenaList
 from repro.core.region import MementoRegion
-from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
 from repro.sim.params import LINE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,7 +48,10 @@ class HardwareObjectAllocator:
         self.costs = self.machine.costs
         stats = self.machine.stats
         self.stats = stats.scoped("memento.obj")
-        self.hot = HardwareObjectTable(config, stats.scoped("memento.hot"))
+        instruments = self.machine.instruments
+        self.hot = HardwareObjectTable(
+            config, stats.scoped("memento.hot"), ring=instruments.ring
+        )
         self.available: List[ArenaList] = [
             ArenaList("available", stats.scoped("memento.list.available"))
             for _ in range(config.num_size_classes)
@@ -85,10 +86,10 @@ class HardwareObjectAllocator:
         self._hidden_cell = self.stats.counter("hidden_miss_cycles")
         #: Sampled hardware-event ring, bound at construction (None keeps
         #: the obj-alloc/obj-free fast paths to one attribute test each).
-        self._ring = obs_events.RING
+        self._ring = instruments.ring
         # Cycle-attribution cells, bound the same way: disabled costs one
         # None test per obj-alloc/obj-free; the cells never charge cycles.
-        profile = obs_profile.PROFILE
+        profile = instruments.profile
         if profile is None:
             self._p_alloc_hit = None
             self._p_alloc_miss = None

@@ -29,8 +29,6 @@ from repro.core.errors import PoolExhaustedError, RegionExhaustedError
 from repro.core.region import MementoRegion
 from repro.kernel.buddy import OutOfMemoryError
 from repro.kernel.page_table import PageTable
-from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
 from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -111,12 +109,12 @@ class ArenaAllocationCache:
     reserved memory block.
     """
 
-    def __init__(self, config: MementoConfig, stats) -> None:
+    def __init__(self, config: MementoConfig, stats, ring=None) -> None:
         self.config = config
         self.stats = stats
         self.entries: Dict[int, OrderedDict] = {}
         #: Sampled hardware-event ring, bound at construction.
-        self._ring = obs_events.RING
+        self._ring = ring
 
     def access(self, core_id: int, size_class: int) -> bool:
         """Touch (core, class); return True on an AAC hit."""
@@ -149,16 +147,19 @@ class HardwarePageAllocator:
         self.machine = kernel.machine
         self.config = config
         self.stats = self.machine.stats.scoped("memento.page")
+        instruments = self.machine.instruments
         self.aac = ArenaAllocationCache(
-            config, self.machine.stats.scoped("memento.aac")
+            config,
+            self.machine.stats.scoped("memento.aac"),
+            ring=instruments.ring,
         )
         self.pool: List[int] = []
         self._states: Dict[int, ProcessPageState] = {}
         #: Sampled hardware-event ring, bound at construction.
-        self._ring = obs_events.RING
+        self._ring = instruments.ring
         # Cycle-attribution cells (see obs/profile.py): bound here so the
         # disabled path pays one None test per method-level operation.
-        profile = obs_profile.PROFILE
+        profile = instruments.profile
         if profile is None:
             self._p_aac_hit = None
             self._p_aac_miss = None

@@ -21,11 +21,7 @@ from repro.fleet.request import (
     FleetRequest,
 )
 from repro.fleet.simulate import fleet_run_requests, simulate_fleet
-from repro.fleet.telemetry import (
-    FleetRecorder,
-    get_fleet_recorder,
-    install_fleet_recorder,
-)
+from repro.fleet.telemetry import FleetRecorder
 
 __all__ = [
     "FLEET_RESULT_SCHEMA_VERSION",
@@ -41,8 +37,6 @@ __all__ = [
     "STACKS",
     "StackMetrics",
     "fleet_run_requests",
-    "get_fleet_recorder",
-    "install_fleet_recorder",
     "render_fleet_report",
     "simulate_fleet",
 ]

@@ -30,7 +30,6 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.pool import FleetPool
 from repro.fleet.request import FleetRequest
-from repro.fleet.telemetry import get_fleet_recorder
 from repro.harness.engine import (
     ExperimentEngine,
     RunRequest,
@@ -38,7 +37,7 @@ from repro.harness.engine import (
     source_fingerprint,
 )
 from repro.obs import ledger as obs_ledger
-from repro.obs.events import get_ring
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.harness.system import RunResult
 from repro.sim.params import PAGE_SIZE
 from repro.workloads.registry import get_workload
@@ -82,6 +81,7 @@ def simulate_fleet(
     request: FleetRequest,
     engine: Optional[ExperimentEngine] = None,
     log: Optional[Callable[[str], None]] = None,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> FleetResult:
     """Run one fleet simulation end to end.
 
@@ -89,15 +89,16 @@ def simulate_fleet(
     pool pass then replays the arrival stream per stack. Everything
     downstream of the seed is deterministic, so the same request
     produces bit-identical metrics on every run.
+
+    ``instruments`` reaches the engine fan-out whole; its ``fleet``
+    recorder and ``ring`` also observe the pool pass. Without them the
+    pass takes the exact same branches as ever.
     """
     req = request.resolved()
     engine = engine if engine is not None else ExperimentEngine()
     say = log if log is not None else (lambda message: None)
-    # Telemetry hooks are captured once at entry (install-before-run,
-    # mirroring the ring/profile/audit gating); None means disabled and
-    # the pass below takes the exact same branches as ever.
-    recorder = get_fleet_recorder()
-    ring = get_ring()
+    recorder = instruments.fleet
+    ring = instruments.ring
     started = time.perf_counter()
 
     shards = fleet_run_requests(req)
@@ -108,7 +109,9 @@ def simulate_fleet(
         f"({len(req.workloads)} workloads x {len(req.stacks)} stacks "
         f"x warm,cold x {req.profile_seeds} seeds)"
     )
-    results = engine.run_many([shards[key] for key in ordered])
+    results = engine.run_many(
+        [shards[key] for key in ordered], instruments=instruments
+    )
     profiles: Dict[ProfileKey, RunResult] = dict(zip(ordered, results))
 
     edges = arrival.epoch_edges(req.duration_s, req.epochs)

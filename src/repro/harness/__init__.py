@@ -6,7 +6,6 @@ from repro.harness.engine import (
     RunRequest,
     cost_model_fingerprint,
     get_default_engine,
-    set_default_engine,
 )
 from repro.harness.experiment import (
     WorkloadResult,
@@ -27,6 +26,5 @@ __all__ = [
     "get_default_engine",
     "run_all",
     "run_workload",
-    "set_default_engine",
     "workload_requests",
 ]

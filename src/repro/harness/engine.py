@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
@@ -250,7 +251,9 @@ class RunRequest:
         )
 
     def build_system(
-        self, cost_model: Optional[CostModel] = None
+        self,
+        cost_model: Optional[CostModel] = None,
+        instruments: Instruments = NO_INSTRUMENTS,
     ) -> SimulatedSystem:
         """Assemble the full stack this request describes."""
         kwargs: Dict[str, Any] = {}
@@ -266,12 +269,17 @@ class RunRequest:
             memento_config=self.config,
             mmap_populate=self.mmap_populate,
             cold_start=self.cold_start,
+            instruments=instruments,
             **kwargs,
         )
 
-    def execute(self, cost_model: Optional[CostModel] = None) -> RunResult:
+    def execute(
+        self,
+        cost_model: Optional[CostModel] = None,
+        instruments: Instruments = NO_INSTRUMENTS,
+    ) -> RunResult:
         """Run the simulation this request describes (no caching)."""
-        return self.build_system(cost_model).run()
+        return self.build_system(cost_model, instruments).run()
 
     # -- wire schema -----------------------------------------------------
 
@@ -401,6 +409,7 @@ _machine_from_dict = machine_params_from_dict
 
 def _execute_remote(
     request: RunRequest,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> Tuple[Dict[str, Any], float]:
     """Worker-process entry point: run and return a serialized result.
 
@@ -408,7 +417,7 @@ def _execute_remote(
     the disk-cache path hand back byte-identical payloads.
     """
     started = time.perf_counter()
-    result = request.execute()
+    result = request.execute(instruments=instruments)
     return result.to_dict(), time.perf_counter() - started
 
 
@@ -433,6 +442,11 @@ class ExperimentEngine:
     :class:`RunResult` objects, (2) the on-disk JSON cache, or (3) a
     fresh simulation — serial, or fanned out over ``jobs`` worker
     processes when a batch holds several misses.
+
+    A batch run with a profile or an auditor in its ``instruments``
+    executes live and in-process: the observers live in this process
+    and a recalled result was never observed, so such a batch neither
+    reads nor writes the memo or the disk cache.
     """
 
     def __init__(
@@ -495,15 +509,28 @@ class ExperimentEngine:
         self,
         requests: Sequence[RunRequest],
         jobs: Optional[int] = None,
+        instruments: Instruments = NO_INSTRUMENTS,
     ) -> List[RunResult]:
         """Execute a batch, answering from cache where possible.
 
         Results come back in request order. Duplicate requests within
         one batch execute once. Misses run in parallel when ``jobs`` (or
         the engine default) exceeds one and the batch has several.
+        ``instruments`` observes the serial, in-process runs; a profile
+        or auditor makes the whole batch live and serial.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        tracer = get_tracer()
+        live_only = (
+            instruments.profile is not None or instruments.audit is not None
+        )
+        if live_only and jobs > 1:
+            print(
+                "repro: profiled/audited runs execute serially; "
+                "ignoring --jobs",
+                file=sys.stderr,
+            )
+            jobs = 1
+        tracer = instruments.tracer
         with tracer.span(
             "engine.run_many", requests=len(requests)
         ) as batch_span:
@@ -518,7 +545,7 @@ class ExperimentEngine:
                 for key, request in zip(keys, requests):
                     if key in results or any(key == k for k, _ in misses):
                         continue
-                    hit = self._lookup(key)
+                    hit = None if live_only else self._lookup(key)
                     if hit is not None:
                         results[key] = hit
                         sources[key] = (
@@ -551,7 +578,7 @@ class ExperimentEngine:
                 with tracer.span("execute", misses=len(misses)):
                     try:
                         for key, result, elapsed in self._execute_all(
-                            misses, jobs
+                            misses, jobs, instruments, admit=not live_only
                         ):
                             results[key] = result
                             request = _request_of(requests, keys, key)
@@ -573,11 +600,17 @@ class ExperimentEngine:
         return [results[key] for key in keys]
 
     def _execute_all(
-        self, misses: Sequence[Tuple[str, RunRequest]], jobs: int
+        self,
+        misses: Sequence[Tuple[str, RunRequest]],
+        jobs: int,
+        instruments: Instruments = NO_INSTRUMENTS,
+        admit: bool = True,
     ):
         """Yield ``(key, result, seconds)`` for each miss, parallel when
         it pays; results round-trip through ``to_dict`` either way so
-        cached, serial, and parallel runs are bit-identical."""
+        cached, serial, and parallel runs are bit-identical. Worker
+        processes run uninstrumented; serial runs carry ``instruments``.
+        Only ``admit`` results enter the memo and the disk cache."""
         started = time.perf_counter()
         if jobs > 1 and len(misses) > 1:
             self.stats.add("engine.parallel_batches")
@@ -588,13 +621,19 @@ class ExperimentEngine:
                 for (key, request), (data, elapsed) in zip(
                     misses, payloads
                 ):
-                    yield key, self._admit(key, request, data, elapsed), (
-                        elapsed
-                    )
+                    yield key, self._admit(
+                        key, request, data, elapsed, instruments.tracer
+                    ), elapsed
         else:
             for key, request in misses:
-                data, elapsed = _execute_remote(request)
-                yield key, self._admit(key, request, data, elapsed), elapsed
+                data, elapsed = _execute_remote(request, instruments)
+                if admit:
+                    result = self._admit(
+                        key, request, data, elapsed, instruments.tracer
+                    )
+                else:
+                    result = RunResult.from_dict(data)
+                yield key, result, elapsed
         if misses:
             self.stats.add(
                 "engine.live_seconds", time.perf_counter() - started
@@ -637,11 +676,12 @@ class ExperimentEngine:
         request: RunRequest,
         data: Dict[str, Any],
         elapsed: float,
+        tracer: Any,
     ) -> RunResult:
         result = RunResult.from_dict(data)
         self._memo[key] = result
         if self.disk is not None:
-            with get_tracer().span(
+            with tracer.span(
                 "cache.admit", workload=request.spec.name
             ):
                 self.disk.put(
@@ -742,13 +782,3 @@ def get_default_engine() -> ExperimentEngine:
     if _default_engine is None:
         _default_engine = ExperimentEngine()
     return _default_engine
-
-
-def set_default_engine(
-    engine: Optional[ExperimentEngine],
-) -> Optional[ExperimentEngine]:
-    """Swap the shared engine (tests, CLI flags); returns the old one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = engine
-    return previous

@@ -24,6 +24,7 @@ from repro.harness.engine import (
     get_default_engine,
 )
 from repro.harness.system import RunResult
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.sim.params import MachineParams
 from repro.workloads.registry import (
     DATAPROC_WORKLOADS,
@@ -211,6 +212,7 @@ def run_workload(
     config: Optional[MementoConfig] = None,
     machine_params: Optional[MachineParams] = None,
     engine: Optional[ExperimentEngine] = None,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> WorkloadResult:
     """Run (or recall) the baseline + Memento + no-bypass trio.
 
@@ -222,7 +224,8 @@ def run_workload(
     _reject_positional("run_workload", rejected)
     engine = engine or get_default_engine()
     baseline, memento, nobypass = engine.run_many(
-        workload_requests(spec, cold_start, config, machine_params)
+        workload_requests(spec, cold_start, config, machine_params),
+        instruments=instruments,
     )
     return WorkloadResult(
         spec=spec,
@@ -240,6 +243,7 @@ def run_all(
     machine_params: Optional[MachineParams] = None,
     engine: Optional[ExperimentEngine] = None,
     jobs: Optional[int] = None,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> List[WorkloadResult]:
     """Run every workload (functions + data proc + platform by default).
 
@@ -257,7 +261,7 @@ def run_all(
         requests.extend(
             workload_requests(spec, cold_start, config, machine_params)
         )
-    results = engine.run_many(requests, jobs=jobs)
+    results = engine.run_many(requests, jobs=jobs, instruments=instruments)
     return [
         WorkloadResult(
             spec=spec,

@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 import dataclasses
 
@@ -36,9 +36,10 @@ from repro.harness.engine import (
 )
 from repro.resolve import resolve_stack_list
 from repro.harness.system import SimulatedSystem
-from repro.obs.events import EventRing, install_ring
-from repro.obs.profile import CycleProfile, install_profile
-from repro.obs.tracing import Tracer, get_tracer, set_tracer
+from repro.obs.events import EventRing
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
+from repro.obs.profile import CycleProfile
+from repro.obs.tracing import Tracer
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import generate_trace
 
@@ -73,7 +74,6 @@ def bench_replay(
     best-of-``repeats`` wall time of one full replay.
     """
     results: Dict[str, Dict[str, Any]] = {}
-    tracer = get_tracer()
     stack_names = resolve_stack_list(stacks, default=DEFAULT_STACKS)
     for name in workloads:
         spec = dataclasses.replace(
@@ -85,16 +85,13 @@ def bench_replay(
         events = len(trace.events)
         for stack in stack_names:
             best = float("inf")
-            with tracer.span(
-                "bench.replay", workload=name, stack=stack,
-            ):
-                for _ in range(max(1, repeats)):
-                    system = SimulatedSystem(spec, stack)
-                    started = time.perf_counter()
-                    system.run(trace)
-                    elapsed = time.perf_counter() - started
-                    if elapsed < best:
-                        best = elapsed
+            for _ in range(max(1, repeats)):
+                system = SimulatedSystem(spec, stack)
+                started = time.perf_counter()
+                system.run(trace)
+                elapsed = time.perf_counter() - started
+                if elapsed < best:
+                    best = elapsed
             key = f"{name}/{stack}"
             results[key] = {
                 "workload": name,
@@ -146,19 +143,20 @@ def bench_engine_cache(
     }
 
 
-def bench_obs_overhead(
+def bench_overhead(
+    make_instruments: Callable[[], Instruments],
     workload: str = "html",
     num_allocs: int = 4000,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """A/B the observability subsystem's replay cost.
+    """A/B one observer's replay cost on the Memento stack.
 
-    Times the same packed trace with tracing/sampling disabled (the null
-    tracer, no event ring — the default production path) and enabled (a
-    live :class:`Tracer` plus an :class:`EventRing`), best-of-``repeats``
-    each. ``overhead_ratio`` is enabled/disabled wall time; the disabled
-    side is the number the ≤5%-overhead acceptance gate watches via the
-    regular replay keys.
+    Times the same packed trace disabled (no instruments — the closure
+    factories emit the uninstrumented replay loop, the production path)
+    and enabled (a fresh ``make_instruments()`` per repeat, bound at
+    system construction), best-of-``repeats`` each. ``overhead_ratio``
+    is enabled/disabled wall time; the disabled side is the
+    "no measurable regression when off" number.
     """
     spec = dataclasses.replace(
         get_workload(workload).resolved(), num_allocs=num_allocs
@@ -166,133 +164,22 @@ def bench_obs_overhead(
     trace = generate_trace(spec)
     trace.columnar()
 
-    def best_of(tracer, ring) -> float:
-        best = float("inf")
-        previous_tracer = set_tracer(tracer)
-        previous_ring = install_ring(ring)
-        try:
-            for _ in range(max(1, repeats)):
-                if tracer is not None:
-                    tracer.clear()
-                if ring is not None:
-                    ring.clear()
-                # Constructed inside the install window: systems bind the
-                # ring at construction time.
-                system = SimulatedSystem(spec, memento=True)
-                started = time.perf_counter()
-                system.run(trace)
-                elapsed = time.perf_counter() - started
-                if elapsed < best:
-                    best = elapsed
-        finally:
-            set_tracer(previous_tracer)
-            install_ring(previous_ring)
-        return best
-
-    disabled = best_of(None, None)
-    enabled = best_of(Tracer(), EventRing())
-    return {
-        "workload": workload,
-        "num_allocs": num_allocs,
-        "repeats": repeats,
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "overhead_ratio": enabled / disabled,
-    }
-
-
-def bench_profile_overhead(
-    workload: str = "html",
-    num_allocs: int = 4000,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """A/B the cycle-attribution profiler's replay cost.
-
-    Same protocol as :func:`bench_obs_overhead`, but for the
-    :class:`CycleProfile` gate: disabled (no profile installed — the
-    closure factories emit the uninstrumented replay loop) vs enabled (a
-    live profile accumulating attribution cells and histograms). The
-    disabled side must stay at replay-key parity; it is the "no
-    measurable regression when off" acceptance number.
-    """
-    spec = dataclasses.replace(
-        get_workload(workload).resolved(), num_allocs=num_allocs
-    )
-    trace = generate_trace(spec)
-    trace.columnar()
-
-    def best_of(profile) -> float:
-        best = float("inf")
-        previous = install_profile(profile)
-        try:
-            for _ in range(max(1, repeats)):
-                if profile is not None:
-                    profile.clear()
-                # Constructed inside the install window: components bind
-                # the profile's cells at construction time.
-                system = SimulatedSystem(spec, memento=True)
-                started = time.perf_counter()
-                system.run(trace)
-                elapsed = time.perf_counter() - started
-                if elapsed < best:
-                    best = elapsed
-        finally:
-            install_profile(previous)
-        return best
-
-    disabled = best_of(None)
-    enabled = best_of(CycleProfile())
-    return {
-        "workload": workload,
-        "num_allocs": num_allocs,
-        "repeats": repeats,
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "overhead_ratio": enabled / disabled,
-    }
-
-
-def bench_audit_overhead(
-    workload: str = "html",
-    num_allocs: int = 4000,
-    repeats: int = 3,
-) -> Dict[str, Any]:
-    """A/B the invariant auditor's replay cost.
-
-    Same protocol as :func:`bench_profile_overhead`, for the
-    :class:`repro.audit.Auditor` gate: disabled (no auditor installed —
-    the replay takes the packed columnar path untouched) vs enabled (an
-    interval-epoch auditor forcing the per-event audited dispatch plus
-    periodic rule evaluation). The disabled side is the "audit-disabled
-    replay within noise of the baseline" acceptance number.
-    """
-    from repro.audit import Auditor, install_audit
-
-    spec = dataclasses.replace(
-        get_workload(workload).resolved(), num_allocs=num_allocs
-    )
-    trace = generate_trace(spec)
-    trace.columnar()
-
-    def best_of(make_auditor) -> float:
+    def best_of(make: Optional[Callable[[], Instruments]]) -> float:
         best = float("inf")
         for _ in range(max(1, repeats)):
-            previous = install_audit(
-                make_auditor() if make_auditor is not None else None
+            instruments = make() if make is not None else NO_INSTRUMENTS
+            system = SimulatedSystem(
+                spec, memento=True, instruments=instruments
             )
-            try:
-                system = SimulatedSystem(spec, memento=True)
-                started = time.perf_counter()
-                system.run(trace)
-                elapsed = time.perf_counter() - started
-            finally:
-                install_audit(previous)
+            started = time.perf_counter()
+            system.run(trace)
+            elapsed = time.perf_counter() - started
             if elapsed < best:
                 best = elapsed
         return best
 
     disabled = best_of(None)
-    enabled = best_of(lambda: Auditor(epoch="interval", every=256))
+    enabled = best_of(make_instruments)
     return {
         "workload": workload,
         "num_allocs": num_allocs,
@@ -301,6 +188,33 @@ def bench_audit_overhead(
         "enabled_seconds": enabled,
         "overhead_ratio": enabled / disabled,
     }
+
+
+def bench_obs_overhead(**kwargs: Any) -> Dict[str, Any]:
+    """Tracing plus event sampling (a live :class:`Tracer` and an
+    :class:`EventRing`) against neither."""
+    return bench_overhead(
+        lambda: Instruments(tracer=Tracer(), ring=EventRing()), **kwargs
+    )
+
+
+def bench_profile_overhead(**kwargs: Any) -> Dict[str, Any]:
+    """The :class:`CycleProfile` accumulating attribution cells and
+    histograms against no profile."""
+    return bench_overhead(
+        lambda: Instruments(profile=CycleProfile()), **kwargs
+    )
+
+
+def bench_audit_overhead(**kwargs: Any) -> Dict[str, Any]:
+    """An interval-epoch :class:`repro.audit.Auditor` (per-event audited
+    dispatch plus periodic rule evaluation) against no auditor."""
+    from repro.audit import Auditor
+
+    return bench_overhead(
+        lambda: Instruments(audit=Auditor(epoch="interval", every=256)),
+        **kwargs,
+    )
 
 
 def compare(

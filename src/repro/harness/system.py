@@ -25,8 +25,7 @@ from repro.allocators.jemalloc import JemallocAllocator
 from repro.audit import invariants as audit_invariants
 from repro import stacks as stack_registry
 from repro.resolve import resolve_stack
-from repro.obs import profile as obs_profile
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.core.bypass import COUNTER_MAX
 from repro.core.config import MementoConfig
 from repro.core.page_allocator import HardwarePageAllocator
@@ -107,7 +106,7 @@ class RunResult:
     allocs: int = 0
     frees: int = 0
     stats: Dict[str, float] = field(default_factory=dict)
-    #: Invariant-audit summary (None unless an auditor was installed).
+    #: Invariant-audit summary (None unless the run carried an auditor).
     audit: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -116,7 +115,7 @@ class RunResult:
         Stamped with ``schema_version`` so the format can evolve:
         version-0 payloads (written before the field existed) carry the
         same body and upgrade transparently in :meth:`from_dict`.
-        ``audit`` only appears when an auditor was installed, keeping
+        ``audit`` only appears when the run carried an auditor, keeping
         unaudited payloads (golden fixtures, cache entries, digests)
         stable across the subsystem's introduction.
         """
@@ -185,6 +184,7 @@ class SimulatedSystem:
         kernel: Optional[Kernel] = None,
         page_allocator: Optional[HardwarePageAllocator] = None,
         memento: Optional[bool] = None,
+        instruments: Optional[Instruments] = None,
     ) -> None:
         """``stack`` names a registered memory-management stack (see
         :mod:`repro.stacks`); the legacy ``memento`` boolean — positional
@@ -193,7 +193,11 @@ class SimulatedSystem:
 
         ``machine``/``kernel``/``page_allocator`` may be supplied to
         co-locate several systems on shared hardware (the multi-process
-        study of §6.6); by default each system gets a private stack."""
+        study of §6.6); by default each system gets a private stack.
+
+        ``instruments`` (tracer, event ring, profile, auditor) is bound
+        at construction: the private machine carries it to every
+        component. A supplied ``machine`` brings its own instruments."""
         self.spec = spec.resolved()
         if stack is None:
             stack = bool(memento) if memento is not None else False
@@ -216,19 +220,27 @@ class SimulatedSystem:
                 f"{self.stack_name!r} stack (supported knobs: "
                 f"{sorted(self.stack.knobs) or 'none'})"
             )
-        # Cycle-attribution profile, bound before any component below is
-        # constructed so their cells intern against it; the checkpoint
-        # scopes this system's deltas (profiled systems must run
-        # sequentially — interleaved construction would mix windows).
-        self._profile = obs_profile.PROFILE
+        if machine is None:
+            machine = Machine(
+                machine_params, cost_model, instruments or NO_INSTRUMENTS
+            )
+        elif instruments is not None and instruments != machine.instruments:
+            raise ValueError(
+                "instruments must match the supplied machine's"
+            )
+        self.machine = machine
+        self.instruments = instruments = machine.instruments
+        # Cycle-attribution profile, checkpointed before any component
+        # below runs so this system's deltas are scoped to it; a profile
+        # shared by two systems must not see their runs interleave.
+        self._profile = instruments.profile
         self._profile_ckpt = (
             self._profile.checkpoint() if self._profile is not None else None
         )
         # Invariant auditor, captured at construction exactly like the
-        # profile/ring hooks: with none installed (the default) the replay
-        # paths below are byte-identical to an audit-free build.
-        self._audit = audit_invariants.AUDIT
-        self.machine = machine or Machine(machine_params, cost_model)
+        # profile/ring hooks: without one (the default) the replay paths
+        # below are byte-identical to an audit-free build.
+        self._audit = instruments.audit
         self.kernel = kernel or Kernel(self.machine)
         self.process = self.kernel.create_process()
         self.core = self.machine.core
@@ -607,7 +619,7 @@ class SimulatedSystem:
         """
         import gc
 
-        tracer = get_tracer()
+        tracer = self.instruments.tracer
         profile = self._profile
         marks = []
         with tracer.span(
@@ -637,7 +649,7 @@ class SimulatedSystem:
                 columnar = None
             else:
                 packer = getattr(trace, "columnar", None)
-                columnar = packer() if packer is not None else None
+                columnar = packer(tracer) if packer is not None else None
             # The replay churns through dataclass records and OrderedDict
             # nodes fast enough to trip the cyclic collector thousands of
             # times per run; nothing in the simulator creates cycles
@@ -676,7 +688,7 @@ class SimulatedSystem:
         return result
 
     def _finish_profile(self, result: RunResult, marks) -> None:
-        """Reconcile this run's cycle attribution into the installed
+        """Reconcile this run's cycle attribution into the system's
         profile (:meth:`CycleProfile.finish_run`). Read-only over the
         simulator's state: the RunResult is already built and unchanged.
         """

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs import profile as obs_profile
 from repro.sim.params import PAGE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,7 +37,7 @@ class PageFaultHandler:
         self._segv = self.stats.counter("segv")
         # Cycle-attribution cell/histogram, bound at construction (one
         # None test per fault when disabled; see obs/profile.py).
-        profile = obs_profile.PROFILE
+        profile = kernel.machine.instruments.profile
         if profile is None:
             self._p_fault = None
             self._h_fault = None

@@ -14,7 +14,6 @@ from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.fault import PageFaultHandler
 from repro.kernel.process import Process
 from repro.kernel.syscalls import SyscallInterface
-from repro.obs import profile as obs_profile
 from repro.sim.machine import Core, Machine
 
 
@@ -36,7 +35,7 @@ class Kernel:
         self.stats = machine.stats.scoped("kernel")
         self._warm_prefaulted = self.stats.counter("warm_prefaulted_pages")
         # Cycle-attribution cells, bound at construction (obs/profile.py).
-        profile = obs_profile.PROFILE
+        profile = machine.instruments.profile
         if profile is None:
             self._p_switch = None
             self._p_walk = None

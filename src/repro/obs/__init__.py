@@ -4,6 +4,10 @@ The subsystem's parts are all off by default and woven through the
 harness so enabling them costs one CLI flag (``repro run --trace
 --metrics out.prom``, ``repro run --profile``) rather than code changes:
 
+* :mod:`repro.obs.instruments` — the one :class:`Instruments` value
+  that carries a run's tracer, event ring, profile, auditor and fleet
+  recorder into the system, the engine and the fleet simulation.
+
 * :mod:`repro.obs.tracing` — nested wall-clock spans over a run's
   phases, with a shared no-op null tracer when disabled.
 * :mod:`repro.obs.metrics` — Stats snapshots, span trees, histograms,
@@ -20,7 +24,8 @@ harness so enabling them costs one CLI flag (``repro run --trace
   wall-time and digest drift detection (``repro obs trend``).
 """
 
-from repro.obs.events import EventRing, get_ring, install_ring
+from repro.obs.events import EventRing
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.obs.ledger import (
     DEFAULT_THRESHOLD_PCT,
     LEDGER_NAME,
@@ -51,8 +56,6 @@ from repro.obs.profile import (
     CycleProfile,
     Log2Histogram,
     ProfileCell,
-    get_profile,
-    install_profile,
     render_histograms,
     render_profile,
     render_top_consumers,
@@ -68,10 +71,7 @@ from repro.obs.tracing import (
     NullTracer,
     Span,
     Tracer,
-    get_tracer,
     render_span_tree,
-    set_thread_tracer,
-    set_tracer,
 )
 from repro.obs.trend import (
     check_bench_trend,
@@ -88,8 +88,10 @@ __all__ = [
     "DEFAULT_THRESHOLD_PCT",
     "CycleProfile",
     "EventRing",
+    "Instruments",
     "LEDGER_NAME",
     "Log2Histogram",
+    "NO_INSTRUMENTS",
     "NULL_TRACER",
     "NullTracer",
     "ProfileCell",
@@ -108,12 +110,7 @@ __all__ = [
     "fleet_manifest",
     "fleet_trace_events",
     "fleet_trend",
-    "get_profile",
-    "get_ring",
-    "get_tracer",
     "histogram_lines",
-    "install_profile",
-    "install_ring",
     "manifest",
     "payload_digest",
     "profile_record",
@@ -126,8 +123,6 @@ __all__ = [
     "render_top_consumers",
     "run_record",
     "sanitize_metric_name",
-    "set_thread_tracer",
-    "set_tracer",
     "span_record",
     "split_fleet_entries",
     "trace_events",

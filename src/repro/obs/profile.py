@@ -5,11 +5,11 @@ this module answers the paper's own question: *where did the simulated
 cycles go?* — 2-cycle HOT hits, 1-cycle AAC hits, four-digit kernel
 fault paths, bypass instantiations (PAPER.md §3, §6.4, Fig. 9).
 
-Design mirrors :mod:`repro.obs.events`: a process-wide
-:class:`CycleProfile` is installed (or not) *before* the system under
-study is constructed. Components bind the installed profile's interned
-:class:`ProfileCell` / :class:`Log2Histogram` handles at construction
-time; when no profile is installed they bind ``None`` and every emit
+Design mirrors :mod:`repro.obs.events`: a :class:`CycleProfile` rides
+in the ``Instruments`` the system under study is constructed with.
+Components bind the profile's interned :class:`ProfileCell` /
+:class:`Log2Histogram` handles at construction time; without a profile
+they bind ``None`` and every emit
 site is a single attribute ``is None`` test on a method-level (never
 per-line) path, or is compiled out entirely by the closure factories.
 The disabled replay loop is byte-identical to the uninstrumented one.
@@ -91,7 +91,7 @@ class ProfileCell:
     """One interned attribution bucket: occurrence count + cycle total.
 
     Hot sites bind the cell once at construction and call :meth:`add`
-    (or bump the slots directly) only when a profile is installed.
+    (or bump the slots directly) only when a profile is present.
     """
 
     __slots__ = ("name", "count", "cycles")
@@ -160,9 +160,9 @@ class Log2Histogram:
 
 
 class CycleProfile:
-    """Process-wide accumulator of cycle attribution and op histograms.
+    """Accumulator of cycle attribution and op histograms.
 
-    Install one with :func:`install_profile` *before* constructing the
+    Pass one as ``Instruments(profile=...)`` to the
     :class:`~repro.harness.system.SimulatedSystem` whose cycles you want
     attributed; the system takes a :meth:`checkpoint` at construction and
     calls :meth:`finish_run` after its stats fold, which reconciles the
@@ -291,27 +291,6 @@ class CycleProfile:
         self.cells = {}
         self.hists = {}
         self.runs = []
-
-
-#: The installed profile, or None (the default: attribution disabled).
-PROFILE: Optional[CycleProfile] = None
-
-
-def get_profile() -> Optional[CycleProfile]:
-    """The installed profile, or None when cycle attribution is off."""
-    return PROFILE
-
-
-def install_profile(profile: Optional[CycleProfile]) -> Optional[CycleProfile]:
-    """Install (or, with None, remove) the process-wide cycle profile.
-
-    Returns the previously installed profile. Systems bind the profile's
-    cells at construction, so install it before building the system.
-    """
-    global PROFILE
-    previous = PROFILE
-    PROFILE = profile
-    return previous
 
 
 # -- rendering ----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A :class:`Tracer` records a tree of named, nested :class:`Span` objects
 — trace load, columnar pack, replay, stats fold, cache admit — each with
-wall-clock duration and free-form attributes. Instrumented code asks for
-the process-wide active tracer via :func:`get_tracer`; by default that is
-the :data:`NULL_TRACER`, whose ``span`` returns one shared no-op context
+wall-clock duration and free-form attributes. Instrumented code is
+handed its tracer (the ``tracer`` field of
+:class:`~repro.obs.instruments.Instruments`); by default that is the
+:data:`NULL_TRACER`, whose ``span`` returns one shared no-op context
 manager, so the instrumentation points cost a single method call and no
 allocation when tracing is off. The hot replay loops themselves are never
 instrumented per event — spans wrap phases, not lines.
@@ -16,7 +17,6 @@ and the ``repro obs`` CLI) and render as an ASCII tree with
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Dict, List, Optional
 
@@ -159,51 +159,8 @@ class NullTracer:
         return {"spans": []}
 
 
-#: The process-wide default: tracing off.
+#: The default tracer: tracing off.
 NULL_TRACER = NullTracer()
-
-_active = NULL_TRACER
-
-#: Per-thread tracer overrides (service worker threads trace their jobs
-#: independently; see :func:`set_thread_tracer`).
-_thread_local = threading.local()
-
-
-def get_tracer():
-    """The currently active tracer for the calling thread.
-
-    A thread-local tracer installed with :func:`set_thread_tracer` wins;
-    otherwise the process-wide tracer from :func:`set_tracer` (the null
-    tracer unless one is installed).
-    """
-    tracer = getattr(_thread_local, "tracer", None)
-    return _active if tracer is None else tracer
-
-
-def set_tracer(tracer) -> Any:
-    """Install ``tracer`` as the active one; returns the previous tracer.
-
-    Pass ``None`` (or :data:`NULL_TRACER`) to disable tracing again.
-    """
-    global _active
-    previous = _active
-    _active = NULL_TRACER if tracer is None else tracer
-    return previous
-
-
-def set_thread_tracer(tracer) -> Any:
-    """Install ``tracer`` for the *calling thread only*.
-
-    The service's job-queue workers run concurrently over one shared
-    engine; each worker traces its own job into a private tracer without
-    the span forests of concurrent jobs interleaving through the global
-    nesting stack. Returns the thread's previous override (``None`` when
-    the thread was inheriting the process-wide tracer) so callers can
-    restore it; pass ``None`` to fall back to the global tracer again.
-    """
-    previous = getattr(_thread_local, "tracer", None)
-    _thread_local.tracer = tracer
-    return previous
 
 
 def render_span_tree(tree: Dict[str, Any], indent: str = "") -> str:

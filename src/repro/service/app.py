@@ -415,6 +415,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)
+        if length < 0:
+            raise ValueError("Content-Length must not be negative")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("request body must be JSON")

@@ -32,7 +32,7 @@ from repro.fleet.metrics import FleetResult
 from repro.fleet.request import FleetRequest
 from repro.harness.engine import RunRequest
 from repro.harness.system import RunResult
-from repro.obs.tracing import get_tracer
+from repro.obs.tracing import NULL_TRACER
 from repro.service.app import DEFAULT_HOST, DEFAULT_PORT, TRACE_HEADER
 
 #: Environment variable naming the service the default client targets.
@@ -68,6 +68,7 @@ class ServiceClient:
         timeout: float = 30.0,
         retries: int = DEFAULT_RETRIES,
         backoff_s: float = DEFAULT_BACKOFF_S,
+        tracer: Any = NULL_TRACER,
     ) -> None:
         self.base_url = (
             base_url
@@ -77,6 +78,8 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = max(0, retries)
         self.backoff_s = backoff_s
+        #: Receives a ``client.submit`` span per submission.
+        self.tracer = tracer
         #: Trace id of the most recent submission (client- or
         #: server-minted), for scripting a follow-up ``trace()`` call.
         self.last_trace_id: Optional[str] = None
@@ -161,7 +164,7 @@ class ServiceClient:
         so the client span and the service's job spans share it."""
         trace_id = trace_id or uuid.uuid4().hex[:16]
         self.last_trace_id = trace_id
-        with get_tracer().span(
+        with self.tracer.span(
             "client.submit", trace_id=trace_id, kind=kind
         ) as span:
             payload = self._request(

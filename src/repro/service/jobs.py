@@ -27,7 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.fleet.request import FleetRequest
 from repro.fleet.simulate import simulate_fleet
 from repro.harness.engine import ExperimentEngine, RunRequest
-from repro.obs.tracing import Tracer, set_thread_tracer
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
+from repro.obs.tracing import Tracer
 from repro.resolve import resolve_workers
 
 #: The job lifecycle; ``done`` and ``failed`` are terminal.
@@ -227,28 +228,29 @@ class JobQueue:
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
-        # When telemetry is on, the worker traces this job into a
-        # private per-thread tracer: engine code asks get_tracer() on
-        # this thread and lands its spans here, never in the global
-        # tracer another thread (or the test harness) may own.
+        # When telemetry is on, the job is traced into its own tracer,
+        # handed to the engine explicitly, so concurrent jobs never share
+        # a span forest.
         job_tracer: Optional[Tracer] = None
-        previous: Any = None
+        instruments = NO_INSTRUMENTS
         if self.telemetry is not None:
             job_tracer = Tracer()
-            previous = set_thread_tracer(job_tracer)
+            instruments = Instruments(tracer=job_tracer)
         started_pc = time.perf_counter()
         job.mark("running")
         try:
             if job.fleet is not None:
                 fleet_result = simulate_fleet(
-                    job.fleet, engine=self.engine
+                    job.fleet, engine=self.engine, instruments=instruments
                 )
                 job.keys = [
                     job.fleet.content_key(self.engine.cost_model)
                 ]
                 job.results = [fleet_result.to_dict()]
             else:
-                results = self.engine.run_many(job.requests)
+                results = self.engine.run_many(
+                    job.requests, instruments=instruments
+                )
                 job.keys = [
                     request.content_key(self.engine.cost_model)
                     for request in job.requests
@@ -260,7 +262,6 @@ class JobQueue:
             job.mark("failed")
         finally:
             if self.telemetry is not None:
-                set_thread_tracer(previous)
                 self.telemetry.observe_job(
                     job, job_tracer, started_pc, time.perf_counter()
                 )

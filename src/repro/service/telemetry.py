@@ -6,12 +6,12 @@ queue drains:
 
 * **Traces** — each job gets a synthesized ``job.queued`` span (submit →
   start) and a ``job.run`` span (start → finish) whose children are the
-  engine's own span forest, captured on the worker thread via a
-  per-thread :class:`~repro.obs.tracing.Tracer`. The submission's
-  ``trace_id`` is stamped onto every span, so one id links the client's
-  ``client.submit`` span, the queue lifecycle, and the engine phases in
-  a JSONL export or Perfetto timeline. A bounded LRU of recent traces
-  backs ``GET /api/v1/traces/<id>``.
+  engine's own span forest, captured in a per-job
+  :class:`~repro.obs.tracing.Tracer` the worker hands to the engine. The
+  submission's ``trace_id`` is stamped onto every span, so one id links
+  the client's ``client.submit`` span, the queue lifecycle, and the
+  engine phases in a JSONL export or Perfetto timeline. A bounded LRU of
+  recent traces backs ``GET /api/v1/traces/<id>``.
 * **Histograms** — log2 wait/run latency (microseconds), rendered into
   ``/metrics`` as Prometheus histograms.
 * **Counters** — completed/failed totals, per-kind totals, folded into

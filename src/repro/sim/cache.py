@@ -21,8 +21,7 @@ import enum
 from collections import OrderedDict
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.sim.params import CacheParams, LINE_SHIFT, LINE_SIZE, MachineParams
 from repro.sim.stats import ScopedStats, Stats
 
@@ -207,7 +206,12 @@ class CacheHierarchy:
     )
 
     def __init__(
-        self, params: MachineParams, stats: Stats, dram, on_writeback=None
+        self,
+        params: MachineParams,
+        stats: Stats,
+        dram,
+        on_writeback=None,
+        instruments: Instruments = NO_INSTRUMENTS,
     ) -> None:
         self.params = params
         self.dram = dram
@@ -259,14 +263,14 @@ class CacheHierarchy:
         # The two hot entry points are built as closures over the hoisted
         # state above: every cell, set list, and constant loads from a
         # captured local instead of an attribute chase through ``self``.
-        self.access_line = self._make_access_line()
-        self.instantiate = self._make_instantiate()
+        self.access_line = self._make_access_line(instruments.profile)
+        self.instantiate = self._make_instantiate(instruments.ring)
 
     def access(self, addr: int, write: bool = False) -> AccessResult:
         """Access the byte address ``addr``; returns level and cycles."""
         return self.access_line(addr >> LINE_SHIFT, write)
 
-    def _make_access_line(self):
+    def _make_access_line(self, profile):
         """Build ``access_line``: one line address through L1 → L2 → LLC
         → DRAM.
 
@@ -389,13 +393,12 @@ class CacheHierarchy:
             return result
 
         # Cycle-attribution profiling is bound at construction exactly
-        # like the instantiate ring wrapper below: with no profile
-        # installed (the default) the un-wrapped closure is returned, so
-        # the disabled replay path is byte-identical. The wrapper only
-        # samples outer-level outcomes into latency histograms and the
+        # like the instantiate ring wrapper below: with no profile (the
+        # default) the un-wrapped closure is returned, so the disabled
+        # replay path is byte-identical. The wrapper only samples
+        # outer-level outcomes into latency histograms and the
         # cross-category ``dram.access`` overlay — it never charges
         # cycles, so results are unchanged either way.
-        profile = obs_profile.PROFILE
         if profile is None:
             return access_line
         h_llc = profile.hist("op.llc_access")
@@ -415,7 +418,7 @@ class CacheHierarchy:
 
         return access_line
 
-    def _make_instantiate(self):
+    def _make_instantiate(self, ring):
         """Build ``instantiate``: the bypass fill (§3.3) — create the line
         in the LLC without DRAM.
 
@@ -511,9 +514,8 @@ class CacheHierarchy:
             return r_bypass
 
         # Event-ring sampling is bound at construction: with no ring
-        # installed (the default) the un-wrapped closure above is
-        # returned, so the disabled path carries zero extra work.
-        ring = obs_events.RING
+        # (the default) the un-wrapped closure above is returned, so the
+        # disabled path carries zero extra work.
         if ring is None:
             return instantiate
         record = ring.record

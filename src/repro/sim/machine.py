@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.dram import Dram
@@ -47,6 +48,7 @@ class Core:
             stats,
             machine.dram,
             on_writeback=self._writeback_backpressure,
+            instruments=machine.instruments,
         )
         self.tlb = TlbHierarchy(machine.params, stats)
         self.cycles = 0
@@ -82,15 +84,22 @@ class Core:
 
 
 class Machine:
-    """The simulated platform of Table 3."""
+    """The simulated platform of Table 3.
+
+    ``instruments`` carries the run's observers; every component built
+    on this machine (caches, kernel, allocators, Memento hardware) binds
+    its hooks from it at construction.
+    """
 
     def __init__(
         self,
         params: MachineParams | None = None,
         costs: CostModel | None = None,
+        instruments: Instruments = NO_INSTRUMENTS,
     ) -> None:
         self.params = params or MachineParams()
         self.costs = costs or DEFAULT_COSTS
+        self.instruments = instruments
         self.stats = Stats()
         self.dram = Dram(self.params, self.stats)
         self.frames = FrameSpace(self.params)

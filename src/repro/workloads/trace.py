@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
 
-from repro.obs.tracing import get_tracer
+from repro.obs.tracing import NULL_TRACER
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,12 +201,13 @@ class Trace:
     def allocs(self) -> Iterator[Alloc]:
         return (e for e in self.events if isinstance(e, Alloc))
 
-    def columnar(self) -> Optional[ColumnarTrace]:
+    def columnar(self, tracer=NULL_TRACER) -> Optional[ColumnarTrace]:
         """The packed replay form (built once, re-packed if the event
-        count changed). None when the trace holds non-canonical events."""
+        count changed, under a ``trace.pack`` span of ``tracer``). None
+        when the trace holds non-canonical events."""
         cached = self._columnar
         if cached is None or cached[0] != len(self.events):
-            with get_tracer().span(
+            with tracer.span(
                 "trace.pack", trace=self.name, events=len(self.events)
             ):
                 cached = (len(self.events), ColumnarTrace.pack(self.events))

@@ -10,8 +10,9 @@ import dataclasses
 
 import pytest
 
-from repro.audit import Auditor, install_audit
+from repro.audit import Auditor
 from repro.harness.system import SimulatedSystem
+from repro.obs.instruments import Instruments
 from repro.stacks import stack_names
 from repro.workloads.registry import all_workloads
 
@@ -31,11 +32,9 @@ def sized(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_per_run_audit_clean(spec, stack):
     auditor = Auditor(epoch="interval", every=64)
-    previous = install_audit(auditor)
-    try:
-        result = SimulatedSystem(sized(spec), stack).run()
-    finally:
-        install_audit(previous)
+    result = SimulatedSystem(
+        sized(spec), stack, instruments=Instruments(audit=auditor)
+    ).run()
     assert result.audit is not None and result.audit["checks"] > 0
     assert auditor.violations == [], [str(v) for v in auditor.violations]
 

@@ -11,8 +11,6 @@ from repro.audit import (
     Auditor,
     DEFAULT_RULES,
     Violation,
-    get_audit,
-    install_audit,
 )
 from repro.audit.invariants import (
     ArenaListMembership,
@@ -24,6 +22,7 @@ from repro.audit.invariants import (
 )
 from repro.core.bypass import COUNTER_MAX
 from repro.harness.system import SimulatedSystem
+from repro.obs.instruments import Instruments
 from repro.workloads.registry import get_workload
 
 
@@ -217,19 +216,6 @@ def test_auditor_survives_crashing_rule(run_system):
     assert "rule crashed" in auditor.violations[0].message
 
 
-def test_install_audit_returns_previous():
-    first = Auditor()
-    second = Auditor()
-    assert install_audit(first) is None
-    try:
-        assert get_audit() is first
-        assert install_audit(second) is first
-        assert get_audit() is second
-    finally:
-        install_audit(None)
-    assert get_audit() is None
-
-
 def test_disabled_audit_leaves_result_untouched():
     result = SimulatedSystem(small_spec(150), memento=True).run()
     assert result.audit is None
@@ -238,11 +224,10 @@ def test_disabled_audit_leaves_result_untouched():
 def test_audited_run_reports_summary_and_matches_unaudited():
     spec = small_spec(150)
     plain = SimulatedSystem(spec, memento=True).run()
-    previous = install_audit(Auditor(epoch="event"))
-    try:
-        audited = SimulatedSystem(spec, memento=True).run()
-    finally:
-        install_audit(previous)
+    instruments = Instruments(audit=Auditor(epoch="event"))
+    audited = SimulatedSystem(
+        spec, memento=True, instruments=instruments
+    ).run()
     assert audited.audit is not None
     assert audited.audit["violations"] == 0
     assert audited.audit["checks"] > len(spec.resolved().name)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.audit import Auditor
 from repro.core.config import MementoConfig
 from repro.harness.engine import (
     DiskCache,
@@ -15,6 +16,8 @@ from repro.harness.engine import (
 )
 from repro.harness.experiment import run_workload, workload_requests
 from repro.harness.system import RunResult
+from repro.obs.instruments import Instruments
+from repro.obs.profile import CycleProfile
 from repro.sim.cycles import CostModel
 from repro.sim.params import MachineParams
 from repro.workloads.registry import get_workload
@@ -204,6 +207,41 @@ def test_cache_can_be_disabled(tmp_path):
     engine.run(RunRequest(small(), memento=False))
     assert engine.disk is None
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("observer", ["profile", "audit"])
+def test_observed_batches_run_live_and_skip_the_caches(
+    tmp_path, capsys, observer
+):
+    """A profile or auditor makes run_many execute live and serially:
+    it ignores a warm memo/disk entry and admits nothing, while an
+    unobserved batch afterwards still hits the original entry."""
+    sources = []
+    engine = make_engine(
+        tmp_path, jobs=2, progress=lambda *event: sources.append(event[3])
+    )
+    request = RunRequest(small(num_allocs=1_000), memento=True)
+    cached = engine.run(request)
+    entries = engine.disk.info()["entries"]
+    instruments = (
+        Instruments(profile=CycleProfile())
+        if observer == "profile"
+        else Instruments(audit=Auditor())
+    )
+    (observed,) = engine.run_many([request], instruments=instruments)
+    assert "ignoring --jobs" in capsys.readouterr().err
+    assert sources == ["live", "live"]
+    assert observed is not cached
+    if observer == "profile":
+        assert len(instruments.profile.runs) == 1
+    else:
+        assert observed.audit["violations"] == 0
+        observed = RunResult.from_dict(
+            {**observed.to_dict(), "audit": None}
+        )
+    assert observed.to_dict() == cached.to_dict()
+    assert engine.disk.info()["entries"] == entries
+    assert engine.run(request) is cached
 
 
 # ------------------------------------------------------------ API surface

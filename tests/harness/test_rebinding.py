@@ -5,8 +5,10 @@ audit hooks at construction time. A system replays a trace through one
 of two loops: the packed loop over the columnar form, or the event loop
 (per-event audits, non-canonical traces). These properties must hold:
 
-* after installing and uninstalling every hook, a fresh system replays
-  bit-identically to one that was never instrumented (no residue);
+* a system built with empty ``Instruments`` after an instrumented one
+  replays bit-identically to one built before it (no residue);
+* systems carrying different ``Instruments`` can be built and run
+  concurrently, each observer seeing exactly its own system;
 * the packed loop and the event loop produce bit-identical results on
   every workload, and leave identical simulator state — including cache
   metadata invariants like boolean dirty bits (audit rule:
@@ -16,16 +18,19 @@ of two loops: the packed loop over the columnar form, or the event loop
 import dataclasses
 import json
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.audit import AuditContext, Auditor, install_audit
+from repro.audit import AuditContext, Auditor
 from repro.audit.invariants import CacheWritebackLedger
 from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
-from repro.obs.events import EventRing, install_ring
-from repro.obs.profile import CycleProfile, install_profile
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments
+from repro.obs.profile import CycleProfile
+from repro.obs.tracing import Tracer
 from repro.stacks import stack_names
 from repro.workloads.registry import all_workloads, get_workload
 from repro.workloads.synth import generate_trace
@@ -40,8 +45,10 @@ def small_spec(num_allocs=250):
     )
 
 
-def run_once(spec, stack):
-    return SimulatedSystem(spec, stack).run().to_dict()
+def run_once(spec, stack, instruments=None):
+    return SimulatedSystem(
+        spec, stack, instruments=instruments
+    ).run().to_dict()
 
 
 class Marker:
@@ -73,20 +80,15 @@ def run_both_loops(spec, stack, trace, **kwargs):
 def test_rebinding_after_uninstall_is_bit_identical(stack):
     spec = small_spec()
     before = run_once(spec, stack)
-    previous_tracer = set_tracer(Tracer())
-    previous_ring = install_ring(EventRing())
-    previous_profile = install_profile(CycleProfile())
     # An event-epoch auditor sends the instrumented run through the
     # event loop, so this also pins that loop to the packed one.
-    previous_audit = install_audit(Auditor(epoch="event"))
-    try:
-        instrumented = run_once(spec, stack)
-    finally:
-        set_tracer(previous_tracer)
-        install_ring(previous_ring)
-        install_profile(previous_profile)
-        install_audit(previous_audit)
-    after = run_once(spec, stack)
+    instrumented = run_once(spec, stack, Instruments(
+        tracer=Tracer(),
+        ring=EventRing(),
+        profile=CycleProfile(),
+        audit=Auditor(epoch="event"),
+    ))
+    after = run_once(spec, stack, Instruments())
     assert after == before
     # The instrumented run simulates the same numbers too — hooks
     # observe, never perturb.
@@ -125,13 +127,75 @@ def test_event_and_packed_loops_identical_profile_attribution():
     payloads = []
     for replayed in (trace, event_loop_trace(trace)):
         profile = CycleProfile()
-        previous = install_profile(profile)
-        try:
-            SimulatedSystem(spec, "memento").run(replayed)
-        finally:
-            install_profile(previous)
+        SimulatedSystem(
+            spec, "memento", instruments=Instruments(profile=profile)
+        ).run(replayed)
         payloads.append(profile.to_dict())
     assert payloads[0] == payloads[1]
+
+
+def observed_run(spec, stack, build_gate=None, run_gate=None):
+    """Build and run one system with its own profile and auditor;
+    returns the observers' payloads. The optional barriers line up two
+    threads so that both constructions happen before either run."""
+    profile = CycleProfile()
+    auditor = Auditor(epoch="interval", every=64)
+    system = SimulatedSystem(
+        spec, stack, instruments=Instruments(profile=profile, audit=auditor)
+    )
+    if build_gate is not None:
+        build_gate.wait()
+    result = system.run()
+    if run_gate is not None:
+        run_gate.wait()
+    return {
+        "profile": profile.to_dict(),
+        "audit": auditor.summary(),
+        "result": result.to_dict(),
+    }
+
+
+def test_concurrent_systems_with_different_instruments():
+    """Two systems, each with its own Instruments, built and run on
+    two threads at once: every observer reports exactly what a serial
+    run of its system reports."""
+    legs = [(small_spec(400), "memento"), (small_spec(300), "baseline")]
+    serial = [observed_run(spec, stack) for spec, stack in legs]
+    build_gate = threading.Barrier(len(legs))
+    run_gate = threading.Barrier(len(legs))
+    concurrent = [None] * len(legs)
+    errors = []
+
+    def worker(index):
+        try:
+            spec, stack = legs[index]
+            concurrent[index] = observed_run(
+                spec, stack, build_gate, run_gate
+            )
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+            build_gate.abort()
+            run_gate.abort()
+
+    threads = [
+        threading.Thread(target=worker, args=(index,))
+        for index in range(len(legs))
+    ]
+    # A short switch interval makes the two replays interleave finely.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for mine, reference in zip(concurrent, serial):
+        assert mine["audit"]["violations"] == 0
+        assert mine == reference
 
 
 def test_event_and_packed_loops_identical_nondefault_config():

@@ -6,6 +6,9 @@ import pytest
 
 from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments
+from repro.sim.machine import Machine
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
 
@@ -157,3 +160,16 @@ def test_memory_aggregates_positive(html_pair):
     assert base.kernel_pages_aggregate > 0
     assert mem.user_pages_aggregate > 0
     assert mem.kernel_pages_aggregate > 0
+
+
+def test_supplied_machine_brings_its_instruments():
+    instruments = Instruments(ring=EventRing())
+    machine = Machine(instruments=instruments)
+    system = SimulatedSystem(small(), memento=True, machine=machine)
+    assert system.instruments is instruments
+    system.run()
+    assert instruments.ring.counts
+    with pytest.raises(ValueError, match="instruments"):
+        SimulatedSystem(
+            small(), memento=True, machine=Machine(), instruments=instruments
+        )

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.obs.events import EventRing, get_ring, install_ring
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_ring():
-    previous = install_ring(None)
-    yield
-    install_ring(previous)
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments
 
 
 def test_counts_are_exact_samples_every_nth():
@@ -62,15 +56,6 @@ def test_invalid_parameters_raise():
         EventRing(sample_every=0)
 
 
-def test_install_ring_protocol():
-    assert get_ring() is None
-    ring = EventRing()
-    assert install_ring(ring) is None
-    assert get_ring() is ring
-    assert install_ring(None) is ring
-    assert get_ring() is None
-
-
 def test_memento_system_emits_events_when_ring_installed():
     """End to end: a Memento replay populates the ring; without a ring
     the same construction path emits nothing (the sites are gated)."""
@@ -84,17 +69,15 @@ def test_memento_system_emits_events_when_ring_installed():
     trace = generate_trace(spec)
 
     ring = EventRing(sample_every=8)
-    install_ring(ring)
-    try:
-        SimulatedSystem(spec, memento=True).run(trace)
-    finally:
-        install_ring(None)
+    SimulatedSystem(
+        spec, memento=True, instruments=Instruments(ring=ring)
+    ).run(trace)
     assert ring.counts.get("hot.alloc_hit", 0) > 0
     assert ring.counts.get("hot.free_hit", 0) > 0
     assert any(kind.startswith("aac.") for kind in ring.counts)
     assert ring.events(), "sampling should have captured records"
 
-    # Ring removed: a fresh system must not touch the old ring.
+    # No ring: a fresh system must not touch the old ring.
     before = dict(ring.counts)
     SimulatedSystem(spec, memento=True).run(generate_trace(spec))
     assert ring.counts == before

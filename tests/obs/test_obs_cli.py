@@ -9,31 +9,16 @@ import pytest
 from repro.cli import main
 from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs import (
-    EventRing,
+    Instruments,
     RunLedger,
     Tracer,
     default_ledger_path,
-    get_tracer,
-    install_profile,
-    install_ring,
-    set_tracer,
 )
 from repro.workloads.registry import get_workload
 
 
 def small_spec(name="html", num_allocs=1_500):
     return replace(get_workload(name).resolved(), num_allocs=num_allocs)
-
-
-@pytest.fixture(autouse=True)
-def _clean_obs_globals():
-    previous_tracer = get_tracer()
-    previous_ring = install_ring(None)
-    previous_profile = install_profile(None)
-    yield
-    set_tracer(previous_tracer)
-    install_ring(previous_ring)
-    install_profile(previous_profile)
 
 
 @pytest.fixture
@@ -95,10 +80,11 @@ class TestEngineLedger:
 
 def test_system_run_produces_phase_spans(tmp_path):
     tracer = Tracer()
-    set_tracer(tracer)
     engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
-    engine.run(RunRequest(spec=small_spec(), memento=True))
-    set_tracer(None)
+    engine.run_many(
+        [RunRequest(spec=small_spec(), memento=True)],
+        instruments=Instruments(tracer=tracer),
+    )
     (batch,) = tracer.roots
     assert batch.name == "engine.run_many"
     names = [c.name for c in batch.children]
@@ -118,9 +104,7 @@ def test_cached_run_skips_execute_span(tmp_path):
     request = RunRequest(spec=small_spec(), memento=False)
     engine.run(request)
     tracer = Tracer()
-    set_tracer(tracer)
-    engine.run(request)
-    set_tracer(None)
+    engine.run_many([request], instruments=Instruments(tracer=tracer))
     (batch,) = tracer.roots
     assert [c.name for c in batch.children] == ["cache.lookup"]
 
@@ -157,12 +141,6 @@ def test_run_trace_and_metrics_end_to_end(
     assert stacks == {"baseline", "memento", "memento_nobypass"}
     (events,) = [r for r in records if r["kind"] == "events"]
     assert events["counts"].get("hot.alloc_hit", 0) > 0
-
-    # The CLI restored the globals on exit.
-    from repro.obs.tracing import NULL_TRACER
-    from repro.obs.events import get_ring
-
-    assert get_tracer() is NULL_TRACER and get_ring() is None
 
 
 def test_run_positional_and_flag_workloads_combine(
@@ -491,10 +469,10 @@ class TestApiFacade:
 
         for name in (
             "RunRequest", "ExperimentEngine", "run_workload", "run_all",
-            "Tracer", "set_tracer", "get_tracer", "render_span_tree",
+            "Tracer", "Instruments", "render_span_tree",
             "MementoConfig", "MachineParams", "Stats", "EventRing",
             "RunResult", "WorkloadResult", "get_workload", "all_workloads",
-            "CycleProfile", "install_profile", "render_profile",
+            "CycleProfile", "render_profile",
             "export_timeline", "validate_trace_events", "check_trend",
         ):
             assert name in api.__all__, name
@@ -503,14 +481,12 @@ class TestApiFacade:
         from repro import api
 
         tracer = api.Tracer()
-        api.set_tracer(tracer)
-        try:
-            engine = api.ExperimentEngine(
-                cache_dir=tmp_path, use_disk_cache=True
-            )
-            result = api.run_workload(small_spec(), engine=engine)
-        finally:
-            api.set_tracer(None)
+        engine = api.ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
+        result = api.run_workload(
+            small_spec(),
+            engine=engine,
+            instruments=api.Instruments(tracer=tracer),
+        )
         assert result.speedup > 1.0
         assert tracer.roots
         rendered = api.render_span_tree(tracer.to_dict())

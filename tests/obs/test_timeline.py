@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.engine import RunRequest
-from repro.obs.events import EventRing, install_ring
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments
 from repro.obs.metrics import event_record, span_record
 from repro.obs.timeline import (
     EVENT_TID,
@@ -17,7 +18,7 @@ from repro.obs.timeline import (
     trace_events,
     validate_trace_events,
 )
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.tracing import Tracer
 from repro.workloads.registry import get_workload
 
 
@@ -151,16 +152,10 @@ class TestExport:
     def test_real_run_exports_a_loadable_trace(self, tmp_path):
         tracer = Tracer()
         ring = EventRing(timestamps=True)
-        previous_tracer = set_tracer(tracer)
-        previous_ring = install_ring(ring)
-        try:
-            spec = replace(
-                get_workload("html").resolved(), num_allocs=1_000
-            )
-            RunRequest(spec=spec, memento=True).execute()
-        finally:
-            set_tracer(previous_tracer)
-            install_ring(previous_ring)
+        spec = replace(get_workload("html").resolved(), num_allocs=1_000)
+        RunRequest(spec=spec, memento=True).execute(
+            instruments=Instruments(tracer=tracer, ring=ring)
+        )
         records = [
             span_record(tracer.to_dict()),
             event_record(ring.to_dict()),

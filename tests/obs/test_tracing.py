@@ -1,22 +1,16 @@
 """Tests for span tracing (:mod:`repro.obs.tracing`)."""
 
+import dataclasses
+
 import pytest
 
+from repro.obs.instruments import NO_INSTRUMENTS, Instruments
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
     Tracer,
-    get_tracer,
     render_span_tree,
-    set_tracer,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_active_tracer():
-    previous = get_tracer()
-    yield
-    set_tracer(previous)
 
 
 def make_tracer(times):
@@ -107,14 +101,17 @@ def test_null_tracer_is_shared_noop():
     assert null.enabled is False and Tracer.enabled is True
 
 
-def test_get_set_tracer_protocol():
-    assert get_tracer() is NULL_TRACER
-    tracer = Tracer()
-    previous = set_tracer(tracer)
-    assert previous is NULL_TRACER
-    assert get_tracer() is tracer
-    assert set_tracer(None) is tracer
-    assert get_tracer() is NULL_TRACER
+def test_empty_instruments_observe_nothing():
+    assert NO_INSTRUMENTS == Instruments()
+    assert NO_INSTRUMENTS.tracer is NULL_TRACER
+    assert (
+        NO_INSTRUMENTS.ring,
+        NO_INSTRUMENTS.profile,
+        NO_INSTRUMENTS.audit,
+        NO_INSTRUMENTS.fleet,
+    ) == (None, None, None, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        NO_INSTRUMENTS.tracer = Tracer()
 
 
 def test_render_span_tree_indents_and_sorts_attrs():

@@ -8,8 +8,10 @@ with correct lifecycle transitions and no cross-job result mixing.
 """
 
 import hashlib
+import http.client
 import json
 import threading
+import urllib.parse
 import urllib.request
 from dataclasses import replace
 
@@ -106,6 +108,22 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=30)
         assert err.value.code == 400
+
+    def test_negative_content_length_400(self, server):
+        """A negative length fails closed instead of blocking the
+        handler on a read that never completes."""
+        url = urllib.parse.urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/api/v1/runs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "-1")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "negative" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
 
     def test_run_endpoint_rejects_batches(self, server, client):
         with pytest.raises(ServiceError) as err:

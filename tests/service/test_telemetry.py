@@ -18,7 +18,7 @@ import pytest
 from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs.metrics import read_jsonl
 from repro.obs.timeline import export_timeline
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.tracing import Tracer
 from repro.service.app import ExperimentServer, ServiceState, op_health
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.telemetry import ServiceTelemetry, stamp_trace_id
@@ -54,15 +54,12 @@ def client(server):
 
 class TestTracePropagation:
     def test_one_trace_id_spans_client_queue_and_engine(
-        self, tmp_path, server, client
+        self, tmp_path, server
     ):
         tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            job_id = client.submit(RunRequest(small(), memento=True))
-            client.result(job_id, timeout=60)
-        finally:
-            set_tracer(previous)
+        client = ServiceClient(server.url, timeout=30, tracer=tracer)
+        job_id = client.submit(RunRequest(small(), memento=True))
+        client.result(job_id, timeout=60)
         trace_id = client.last_trace_id
         assert trace_id
 

@@ -248,6 +248,6 @@ def test_columnar_replay_matches_event_replay():
     trace = generate_trace(spec)
     fast = SimulatedSystem(spec, memento=False).run(trace)
     slow_trace = generate_trace(spec)
-    slow_trace.columnar = lambda: None  # force the per-event fallback
+    slow_trace.columnar = lambda tracer: None  # force the event fallback
     slow = SimulatedSystem(spec, memento=False).run(slow_trace)
     assert fast.to_dict() == slow.to_dict()
