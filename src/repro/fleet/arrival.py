@@ -29,6 +29,7 @@ function of the fleet seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -79,13 +80,21 @@ def mix_weights(names: Sequence[str], mix: str, seed: int) -> List[float]:
     return [w / total for w in raw]
 
 
-def _burst_windows(seed: int) -> List[Tuple[float, float]]:
-    """Deterministic burst windows (start, end) within one day-cycle."""
+@functools.lru_cache(maxsize=64)
+def _burst_windows(seed: int) -> Tuple[Tuple[float, float], ...]:
+    """Deterministic burst windows (start, end) within one day-cycle.
+
+    Cached per seed: ``intensity`` asks for them on every rejection
+    draw, and re-deriving them (a sha256 and a ``Random`` seeding) cost
+    more than the draw itself.
+    """
     rng = random.Random(epoch_seed(seed, 0, salt="bursts"))
     width = BURST_FRACTION * DAY_S
-    return sorted(
-        (start := rng.uniform(0.0, DAY_S - width), start + width)
-        for _ in range(BURST_COUNT)
+    return tuple(
+        sorted(
+            (start := rng.uniform(0.0, DAY_S - width), start + width)
+            for _ in range(BURST_COUNT)
+        )
     )
 
 

@@ -19,6 +19,7 @@ Everything is seeded; the same request is bit-identical on every run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
@@ -96,6 +97,11 @@ class FleetRequest:
     def __post_init__(self) -> None:
         if self.invocations < 1:
             raise ValueError("invocations must be >= 1")
+        # NaN compares false with everything, so it slips past the sign
+        # checks below, and so does infinity; JSON bodies carry both.
+        for name in ("duration_s", "keep_alive_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.pattern not in PATTERNS:
@@ -122,6 +128,10 @@ class FleetRequest:
             raise ValueError("invocation_allocs must be >= 1")
         if not self.stacks:
             raise ValueError("stacks must name at least one stack")
+        for name in ("stacks", "workloads"):
+            names = getattr(self, name)
+            if len(set(names)) != len(names):
+                raise ValueError(f"{name} must not repeat a name")
         from repro import stacks as stack_registry
 
         for stack in self.stacks:

@@ -130,6 +130,23 @@ def simulate_fleet(
         engine_runs=len(ordered),
     )
 
+    # Arrivals depend on the seed and the epoch, never on the stack:
+    # draw each epoch's stream once and replay it through every pool.
+    streams = [
+        (
+            arrival.epoch_arrivals(
+                epoch,
+                counts[epoch],
+                edges[epoch],
+                edges[epoch + 1],
+                req.pattern,
+                req.seed,
+            ),
+            arrival.assign_functions(epoch, counts[epoch], weights, req.seed),
+        )
+        for epoch in range(req.epochs)
+    ]
+
     from repro import stacks as stack_registry
 
     for stack in req.stacks:
@@ -139,6 +156,29 @@ def simulate_fleet(
         # returns arena pages to the host pool) — the stranding metric
         # per stack.
         stack_entry = stack_registry.get_stack(stack)
+        # Per variant, one row per function pick holding everything an
+        # arrival needs from its warm and cold shards: name, warm
+        # seconds, cold-start penalty, idle residency, warm and cold
+        # DRAM bytes.
+        shard_rows = []
+        for variant in range(req.profile_seeds):
+            rows = []
+            for name in req.workloads:
+                warm = profiles[(name, stack, False, variant)]
+                cold_run = profiles[(name, stack, True, variant)]
+                rows.append(
+                    (
+                        name,
+                        warm.seconds,
+                        max(0.0, cold_run.seconds - warm.seconds),
+                        stack_entry.resident_bytes(
+                            warm.peak_pages * PAGE_SIZE
+                        ),
+                        warm.dram_bytes,
+                        cold_run.dram_bytes,
+                    )
+                )
+            shard_rows.append(rows)
         pool = FleetPool(
             keep_alive_s=req.keep_alive_s,
             policy=req.policy,
@@ -150,45 +190,31 @@ def simulate_fleet(
         latencies_ms: List[float] = []
         cold_ms: List[float] = []
         dram_bytes = 0.0
-        for epoch in range(req.epochs):
+        for epoch, (times, picks) in enumerate(streams):
             before = (
                 pool.stats.cold_starts,
                 pool.stats.warm_starts,
                 pool.stats.expirations,
                 pool.stats.evictions,
             )
-            times = arrival.epoch_arrivals(
-                epoch,
-                counts[epoch],
-                edges[epoch],
-                edges[epoch + 1],
-                req.pattern,
-                req.seed,
-            )
-            picks = arrival.assign_functions(
-                epoch, counts[epoch], weights, req.seed
-            )
-            variant = epoch % req.profile_seeds
+            rows = shard_rows[epoch % req.profile_seeds]
             for t, pick in zip(times, picks):
-                name = req.workloads[pick]
-                warm = profiles[(name, stack, False, variant)]
-                cold_run = profiles[(name, stack, True, variant)]
-                cold_extra = max(0.0, cold_run.seconds - warm.seconds)
+                name, warm_s, cold_extra, resident, warm_dram, cold_dram = (
+                    rows[pick]
+                )
                 was_cold, latency = pool.invoke(
                     name,
                     t,
-                    warm_s=warm.seconds,
+                    warm_s=warm_s,
                     cold_extra_s=cold_extra,
-                    resident_bytes=stack_entry.resident_bytes(
-                        warm.peak_pages * PAGE_SIZE
-                    ),
+                    resident_bytes=resident,
                 )
                 latencies_ms.append(latency * 1e3)
                 if was_cold:
                     cold_ms.append(latency * 1e3)
-                    dram_bytes += cold_run.dram_bytes
+                    dram_bytes += cold_dram
                 else:
-                    dram_bytes += warm.dram_bytes
+                    dram_bytes += warm_dram
             if recorder is not None or ring is not None:
                 deltas = {
                     "cold_starts": pool.stats.cold_starts - before[0],

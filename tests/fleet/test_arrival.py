@@ -1,5 +1,8 @@
 """Arrival-process properties: determinism, exactness, mix shape."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.fleet.arrival import (
@@ -109,3 +112,26 @@ def test_epoch_edges_cover_the_window():
 
 def test_intensity_mean_is_one_for_poisson():
     assert intensity(123.0, "poisson", seed=1) == 1.0
+
+
+def test_diurnal_arrivals_are_pinned():
+    # Pins every arrival time and function pick bit for bit: a change
+    # to the rejection sampler's float arithmetic, its draw order or
+    # the burst windows moves the digest.
+    names = [f"a{i}" for i in range(16)]
+    weights = mix_weights(names, "azure", 42)
+    edges = epoch_edges(86_400.0, 4)
+    counts = epoch_counts(10_000, 86_400.0, 4, "diurnal", 42)
+    assert counts == [3027, 3428, 1959, 1586]
+    streams = [
+        [
+            epoch_arrivals(
+                epoch, counts[epoch], edges[epoch], edges[epoch + 1],
+                "diurnal", 42,
+            ),
+            assign_functions(epoch, counts[epoch], weights, 42),
+        ]
+        for epoch in range(4)
+    ]
+    digest = hashlib.sha256(json.dumps(streams).encode("utf-8")).hexdigest()
+    assert digest[:16] == "5d7a08c09d470dad"

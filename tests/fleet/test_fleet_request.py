@@ -8,6 +8,7 @@ codec in :mod:`repro.codec`.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -123,11 +124,32 @@ class TestValidation:
             ("profile_seeds", 0, "profile_seeds"),
             ("stacks", (), "stacks"),
             ("stacks", ("gc",), "stack"),
+            ("duration_s", float("nan"), "duration_s must be finite"),
+            ("duration_s", float("inf"), "duration_s must be finite"),
+            ("keep_alive_s", float("nan"), "keep_alive_s must be finite"),
+            ("keep_alive_s", float("inf"), "keep_alive_s must be finite"),
+            ("stacks", ("baseline", "baseline"), "stacks must not repeat"),
+            ("workloads", ("aes", "html", "aes"), "workloads must not repeat"),
         ],
     )
     def test_bad_fields_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             FleetRequest(**{field: value})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"keep_alive_s": NaN}',
+            '{"duration_s": Infinity}',
+            '{"stacks": ["memento", "memento"]}',
+            '{"workloads": ["ir", "ir"]}',
+        ],
+    )
+    def test_bad_wire_payloads_rejected(self, payload):
+        # json.loads accepts NaN and Infinity, so the request itself
+        # must turn them (and repeated names) away.
+        with pytest.raises(ValueError):
+            FleetRequest.from_dict(json.loads(payload))
 
     def test_resolved_fills_workloads_and_epochs(self):
         resolved = FleetRequest(invocations=1_000_000).resolved()

@@ -10,6 +10,7 @@ from repro.fleet import (
     render_fleet_report,
     simulate_fleet,
 )
+from repro.fleet import arrival
 from repro.fleet.simulate import fleet_run_requests
 from repro.harness.engine import ExperimentEngine
 
@@ -46,6 +47,38 @@ class TestDeterminism:
             first.stacks["baseline"].stranding_timeline
             != second.stacks["baseline"].stranding_timeline
         )
+
+
+class TestSharedArrivals:
+    STACKS = ("baseline", "snapshot", "reclaim")
+
+    def test_arrivals_drawn_once_per_epoch_for_all_stacks(
+        self, monkeypatch
+    ):
+        calls = []
+        draw = arrival.epoch_arrivals
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(arrival, "epoch_arrivals", counted)
+        request = small_fleet(pattern="diurnal", stacks=self.STACKS)
+        shared_engine = engine()
+        raced = simulate_fleet(request, engine=shared_engine)
+        epochs = request.resolved().epochs
+        assert sorted(calls) == list(range(epochs))
+
+        # Sharing the stream changes nothing: each stack reads exactly
+        # what a fleet of that stack alone reads.
+        for stack in self.STACKS:
+            alone = simulate_fleet(
+                replace(request, stacks=(stack,)), engine=shared_engine
+            )
+            assert (
+                raced.stacks[stack].to_dict()
+                == alone.stacks[stack].to_dict()
+            )
 
 
 class TestShards:

@@ -109,6 +109,27 @@ class TestEndpoint:
             urllib.request.urlopen(http_request, timeout=30)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"invocations": 100, "keep_alive_s": NaN}',
+            b'{"invocations": 100, "duration_s": Infinity}',
+            b'{"invocations": 100, "stacks": ["baseline", "baseline"]}',
+        ],
+    )
+    def test_non_finite_or_repeated_fields_are_400(self, server, body):
+        # The server parses bodies with json.loads, which accepts the
+        # non-standard NaN and Infinity literals.
+        http_request = urllib.request.Request(
+            f"{server.url}/api/v1/fleets",
+            data=body,
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(http_request, timeout=30)
+        assert excinfo.value.code == 400
+
     def test_fleet_result_payload_parses_as_fleet_result(self, server):
         client = ServiceClient(server.url)
         job_id = client.submit_fleet(small_fleet())
