@@ -20,7 +20,8 @@ both request hierarchies use:
 * :func:`checked_fields` — strict unknown-field rejection for nested
   dataclass bodies.
 * :func:`content_key` — the shared key derivation: schema tag plus
-  provenance fingerprints plus the canonicalized request body, hashed.
+  provenance fingerprints plus the canonicalized request body, hashed
+  (:func:`canonical_content_key` when the body is already canonical).
 * :data:`RETIRED_FIELDS` — wire fields dropped from the request types
   but still accepted, and ignored, for one schema version.
 
@@ -70,9 +71,12 @@ def canonical(value: Any) -> Any:
 
 def digest(payload: Any) -> str:
     """sha256 hex digest of the canonical JSON form of ``payload``."""
-    blob = json.dumps(
-        canonical(payload), sort_keys=True, separators=(",", ":")
-    )
+    return _tree_digest(canonical(payload))
+
+
+def _tree_digest(tree: Any) -> str:
+    """:func:`digest` of a tree that is already canonical (no re-walk)."""
+    blob = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -89,10 +93,27 @@ def content_key(
     key can never answer from a different model of the system; ``body``
     is the normalized request itself.
     """
+    return canonical_content_key(
+        canonical(body), schema=schema, fingerprints=fingerprints
+    )
+
+
+def canonical_content_key(
+    tree: Any,
+    *,
+    schema: int,
+    fingerprints: Mapping[str, str],
+) -> str:
+    """:func:`content_key` of a body already in :func:`canonical` form.
+
+    ``canonical`` is idempotent, so the key is byte-identical to
+    ``content_key(tree, ...)``; a caller that had to canonicalize the
+    body anyway (to edit it) pays one walk instead of three.
+    """
     payload: Dict[str, Any] = {"schema": schema}
     payload.update(sorted(fingerprints.items()))
-    payload["request"] = canonical(body)
-    return digest(payload)
+    payload["request"] = tree
+    return _tree_digest(payload)
 
 
 def checked_fields(cls: type, data: Any, label: str) -> Dict[str, Any]:

@@ -22,6 +22,7 @@ everywhere. Hit/miss/timing counters are recorded in the engine's
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import os
 import sys
@@ -34,6 +35,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -63,7 +65,9 @@ from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
 from repro.workloads.profiles import LifetimeProfile
+from repro.workloads import synth
 from repro.workloads.synth import WorkloadSpec
+from repro.workloads.trace import Trace
 
 #: Bumped whenever the cache payload or key derivation changes shape;
 #: old artifacts simply stop matching and are re-simulated.
@@ -241,7 +245,7 @@ class RunRequest:
         body = codec.canonical(normalized)
         if entry.legacy_memento is not None:
             del body["stack"]
-        return codec.content_key(
+        return codec.canonical_content_key(
             body,
             schema=SCHEMA_VERSION,
             fingerprints={
@@ -277,9 +281,14 @@ class RunRequest:
         self,
         cost_model: Optional[CostModel] = None,
         instruments: Instruments = NO_INSTRUMENTS,
+        trace: Optional[Trace] = None,
     ) -> RunResult:
-        """Run the simulation this request describes (no caching)."""
-        return self.build_system(cost_model, instruments).run()
+        """Run the simulation this request describes (no caching).
+
+        ``trace`` must be ``generate_trace(self.spec)``; omitted, the
+        system generates it.
+        """
+        return self.build_system(cost_model, instruments).run(trace)
 
     # -- wire schema -----------------------------------------------------
 
@@ -410,15 +419,62 @@ _machine_from_dict = machine_params_from_dict
 def _execute_remote(
     request: RunRequest,
     instruments: Instruments = NO_INSTRUMENTS,
+    trace: Optional[Trace] = None,
 ) -> Tuple[Dict[str, Any], float]:
-    """Worker-process entry point: run and return a serialized result.
+    """Run one request and return its serialized result.
 
     Returns the :meth:`RunResult.to_dict` form so the parallel path and
     the disk-cache path hand back byte-identical payloads.
     """
     started = time.perf_counter()
-    result = request.execute(instruments=instruments)
+    result = request.execute(instruments=instruments, trace=trace)
     return result.to_dict(), time.perf_counter() - started
+
+
+def _run_group(
+    requests: Sequence[RunRequest],
+    instruments: Instruments = NO_INSTRUMENTS,
+) -> Iterator[Tuple[Dict[str, Any], float]]:
+    """Yield ``(payload, seconds)`` per request of one spec group.
+
+    A group of one takes the plain path (the system generates its own
+    trace). A larger group generates and packs its trace once and
+    replays it for every request; the trace is only read, and the first
+    request's seconds include generating it.
+
+    Before each reuse, a collection frees the previous run's system:
+    its components form reference cycles, and with no trace generation
+    in between to trip the collector they would survive into the next
+    replay (which runs with the collector off) and stack up in peak
+    memory. Everything alive once the trace exists is frozen for the
+    group, so that collection scans only what the group's runs
+    allocated, not the trace or a long-lived caller's whole heap.
+    """
+    if len(requests) == 1:
+        yield _execute_remote(requests[0], instruments)
+        return
+    started = time.perf_counter()
+    spec = requests[0].spec
+    with instruments.tracer.span("trace.load", workload=spec.name):
+        trace = synth.generate_trace(spec)
+    load_s = time.perf_counter() - started
+    gc.freeze()
+    try:
+        for index, request in enumerate(requests):
+            if index:
+                gc.collect()
+            data, elapsed = _execute_remote(request, instruments, trace)
+            yield data, elapsed + load_s
+            load_s = 0.0
+    finally:
+        gc.unfreeze()
+
+
+def _execute_group(
+    requests: Sequence[RunRequest],
+) -> List[Tuple[Dict[str, Any], float]]:
+    """Worker-process entry point: one spec group, uninstrumented."""
+    return list(_run_group(requests))
 
 
 def _envelope_ok(payload: Dict[str, Any]) -> bool:
@@ -542,9 +598,12 @@ class ExperimentEngine:
                 results: Dict[str, RunResult] = {}
                 misses: List[Tuple[str, RunRequest]] = []
                 sources: Dict[str, str] = {}
+                # First request per key: duplicates execute once.
+                request_of: Dict[str, RunRequest] = {}
                 for key, request in zip(keys, requests):
-                    if key in results or any(key == k for k, _ in misses):
+                    if key in request_of:
                         continue
+                    request_of[key] = request
                     hit = None if live_only else self._lookup(key)
                     if hit is not None:
                         results[key] = hit
@@ -567,7 +626,7 @@ class ExperimentEngine:
             )
             counts = {"cached": 0, "live": 0, "failed": 0}
             for key in list(results):
-                request = _request_of(requests, keys, key)
+                request = request_of[key]
                 emitted += 1
                 self._ledger_append(key, request, sources[key], 0.0,
                                     results[key])
@@ -581,7 +640,7 @@ class ExperimentEngine:
                             misses, jobs, instruments, admit=not live_only
                         ):
                             results[key] = result
-                            request = _request_of(requests, keys, key)
+                            request = request_of[key]
                             emitted += 1
                             self._ledger_append(key, request, "live",
                                                 elapsed, result)
@@ -610,30 +669,47 @@ class ExperimentEngine:
         it pays; results round-trip through ``to_dict`` either way so
         cached, serial, and parallel runs are bit-identical. Worker
         processes run uninstrumented; serial runs carry ``instruments``.
-        Only ``admit`` results enter the memo and the disk cache."""
+        Only ``admit`` results enter the memo and the disk cache.
+
+        Misses are grouped by resolved workload spec, in order of first
+        appearance: each group shares one generated trace (see
+        :func:`_run_group`) and is one pool task on the parallel path.
+        """
         started = time.perf_counter()
-        if jobs > 1 and len(misses) > 1:
+        groups: Dict[WorkloadSpec, List[Tuple[str, RunRequest]]] = {}
+        for key, request in misses:
+            groups.setdefault(request.spec.resolved(), []).append(
+                (key, request)
+            )
+        if jobs > 1 and len(groups) > 1:
             self.stats.add("engine.parallel_batches")
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                payloads = pool.map(
-                    _execute_remote, [req for _, req in misses]
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(groups))
+            ) as pool:
+                done = pool.map(
+                    _execute_group,
+                    [[req for _, req in group] for group in groups.values()],
                 )
-                for (key, request), (data, elapsed) in zip(
-                    misses, payloads
-                ):
-                    yield key, self._admit(
-                        key, request, data, elapsed, instruments.tracer
-                    ), elapsed
+                for group, payloads in zip(groups.values(), done):
+                    for (key, request), (data, elapsed) in zip(
+                        group, payloads
+                    ):
+                        yield key, self._admit(
+                            key, request, data, elapsed, instruments.tracer
+                        ), elapsed
         else:
-            for key, request in misses:
-                data, elapsed = _execute_remote(request, instruments)
-                if admit:
-                    result = self._admit(
-                        key, request, data, elapsed, instruments.tracer
-                    )
-                else:
-                    result = RunResult.from_dict(data)
-                yield key, result, elapsed
+            for group in groups.values():
+                # The group's runs first: the last ``next`` then runs
+                # ``_run_group`` to its end (and out of its frozen scope).
+                runs = _run_group([req for _, req in group], instruments)
+                for (data, elapsed), (key, request) in zip(runs, group):
+                    if admit:
+                        result = self._admit(
+                            key, request, data, elapsed, instruments.tracer
+                        )
+                    else:
+                        result = RunResult.from_dict(data)
+                    yield key, result, elapsed
         if misses:
             self.stats.add(
                 "engine.live_seconds", time.perf_counter() - started
@@ -759,12 +835,6 @@ class ExperimentEngine:
     def summary(self) -> Dict[str, float]:
         """Counter snapshot (``engine.*`` namespace)."""
         return self.stats.with_prefix("engine")
-
-
-def _request_of(
-    requests: Sequence[RunRequest], keys: Sequence[str], key: str
-) -> RunRequest:
-    return requests[keys.index(key)]
 
 
 # -- the shared default engine ------------------------------------------------

@@ -68,6 +68,39 @@ def test_content_key_changes_with_cost_model():
     assert request.content_key() != request.content_key(recalibrated)
 
 
+@pytest.mark.parametrize("stack", ["memento", "snapshot"])
+def test_content_key_walks_the_request_once(monkeypatch, stack):
+    from repro import codec
+
+    request = RunRequest(small(), stack=stack)
+    expected = request.content_key()
+    walks = []
+    real = codec.canonical
+
+    def counted(value):
+        # ``canonical`` recurses through the module name, so this sees
+        # every node; count the ones that are the request's own root.
+        if isinstance(value, RunRequest) or (
+            isinstance(value, dict) and value.get("__type__") == "RunRequest"
+        ):
+            walks.append(type(value).__name__)
+        return real(value)
+
+    monkeypatch.setattr(codec, "canonical", counted)
+    assert request.content_key() == expected
+    assert walks == ["RunRequest"]
+
+
+def test_canonical_content_key_matches_content_key():
+    from repro import codec
+
+    request = RunRequest(small(), memento=True)
+    fingerprints = {"source": "abc", "cost_model": "def"}
+    assert codec.canonical_content_key(
+        codec.canonical(request), schema=1, fingerprints=fingerprints
+    ) == codec.content_key(request, schema=1, fingerprints=fingerprints)
+
+
 def test_unknown_allocator_rejected():
     with pytest.raises(ValueError):
         RunRequest(small(), memento=False, allocator="bogus")
